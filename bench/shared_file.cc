@@ -141,14 +141,9 @@ SharedFileResult RunSharedFile(bool write_behind) {
             "writer open");
         for (size_t c = 0; c < kChunksPerWrite; ++c) {
           bench::Check(file.Pwrite(c * kChunk, chunk), "writer pwrite");
-          // This scenario is pure stop-and-wait (no event pump), so the
-          // sampler's edges are delivered by polling; between the
-          // buffered writes the dirty-bytes gauge is visibly nonzero.
-          sampler.Poll();
         }
         bench::Check(file.Close(), "writer close");  // Flush + COMMIT.
       }
-      sampler.Poll();
       // Close-to-open handoff: every reader opens after the writer's
       // close and must see this round's bytes.
       for (FleetNode& r : readers) {
@@ -162,7 +157,6 @@ SharedFileResult RunSharedFile(bool write_behind) {
           std::abort();
         }
         bench::Check(file.Close(), "reader close");
-        sampler.Poll();
       }
     }
   }

@@ -254,13 +254,9 @@ class Testbed {
     }
   }
 
-  // Timer-driven resends (transit loss) plus stale-reply resends.  These
-  // used to be hand-summed from three per-component counters; every
-  // layer now also publishes into the registry, which is authoritative.
-  uint64_t Retransmissions() {
-    return registry_.CounterValue("link.retransmissions") +
-           registry_.CounterValue("rpc.client.stale_retries");
-  }
+  // Timer-driven resends of every call engine and handshake on this
+  // testbed (all publish into the registry, which is authoritative).
+  uint64_t Retransmissions() { return registry_.CounterValue("link.retransmissions"); }
 
   // Requests the server answered from its duplicate-request cache
   // (rpc::Dispatcher's DRC or sfs::ServerConnection's reply cache).
@@ -317,15 +313,6 @@ class Testbed {
     sampler_ = std::make_unique<sim::TimelineSampler>(&clock_, timeline_.get());
     sampler_->Start();
     return timeline_.get();
-  }
-
-  // Delivers any pending window edge by polling (testbed workloads run
-  // the synchronous stop-and-wait path, which never pumps the event
-  // queue); call between workload phases.
-  void PollTimeline() {
-    if (sampler_ != nullptr) {
-      sampler_->Poll();
-    }
   }
 
   // Closes the trailing window and runs the episode annotator; safe to

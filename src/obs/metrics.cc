@@ -329,10 +329,6 @@ ProcMetrics* ProcMetricsTable::Get(uint32_t proc, const std::string& proc_name) 
   m.bytes_sent = registry_->GetCounter(base + ".bytes_sent");
   m.bytes_received = registry_->GetCounter(base + ".bytes_received");
   m.latency = registry_->GetHistogram(base + ".latency_ns");
-  for (size_t i = 0; i < kTimeCategoryCount; ++i) {
-    m.time[i] = registry_->GetCounter(
-        base + ".time." + TimeCategoryName(static_cast<TimeCategory>(i)) + "_ns");
-  }
   return &procs_.emplace(proc, m).first->second;
 }
 

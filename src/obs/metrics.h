@@ -198,9 +198,9 @@ class Registry {
   std::unique_ptr<SpanCollector> spans_;
 };
 
-// Per-procedure client-side metric family: call/error/byte counters, a
-// latency histogram, and per-category time counters sliced out of the
-// clock's accounting across the call.
+// Per-procedure metric family: call/error/byte counters and a latency
+// histogram.  A call's per-category time split is its span's cat_ns
+// (rpc.call.<PROC> / sfs.call.<PROC>).
 struct ProcMetrics {
   Counter* calls = nullptr;
   Counter* errors = nullptr;
@@ -208,7 +208,6 @@ struct ProcMetrics {
   Counter* bytes_sent = nullptr;
   Counter* bytes_received = nullptr;
   Histogram* latency = nullptr;
-  Counter* time[kTimeCategoryCount] = {};
 };
 
 // Caches ProcMetrics per procedure number under one name prefix

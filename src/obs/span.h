@@ -120,8 +120,8 @@ class SpanCollector {
     return stack;
   }
 
-  // Records an already-measured interval (used for pipelined link
-  // transits, whose endpoints are known only at delivery time).  The
+  // Records an already-measured interval (used for link legs, whose
+  // endpoints are known only at their arrival/delivery events).  The
   // span's id/trace are assigned here; cat_ns is taken as given.
   void RecordClosed(Span span, SpanContext parent);
 

@@ -222,13 +222,13 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
 Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
                std::string prog_name, ProcNamer namer)
     : transport_(transport),
+      clock_(transport->clock()),
       prog_(prog),
       prog_name_(prog_name.empty() ? "PROG" + std::to_string(prog) : std::move(prog_name)),
       namer_(std::move(namer)),
       registry_(registry != nullptr ? registry : obs::Registry::Default()),
       tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
-      m_stale_retries_(registry_->GetCounter("rpc.client.stale_retries")),
       m_unmatched_replies_(registry_->GetCounter("rpc.client.unmatched_replies")),
       m_window_occupancy_sum_(registry_->GetCounter("rpc.client.window_occupancy_sum")),
       m_window_samples_(registry_->GetCounter("rpc.client.window_samples")),
@@ -241,13 +241,9 @@ Client::~Client() {
   // Disarm event-driven retransmission timers: the clock (and its event
   // queue) outlives the client, and a fired timer would touch freed
   // state.
-  if (event_driven_) {
-    if (sim::Clock* clock = transport_->clock()) {
-      for (auto& [xid, call] : pending_) {
-        if (call.timer_id != 0) {
-          clock->events()->Cancel(call.timer_id);
-        }
-      }
+  for (auto& [xid, call] : pending_) {
+    if (call.timer_id != 0) {
+      clock_->events()->Cancel(call.timer_id);
     }
   }
   // Calls abandoned in-flight are no longer occupying the window.
@@ -259,8 +255,7 @@ void Client::set_window(uint32_t window) {
 }
 
 void Client::EnableEventDriven() {
-  if (event_driven_ || !transport_->SupportsEventDriven() ||
-      !transport_->SupportsPipelining() || transport_->clock() == nullptr) {
+  if (event_driven_) {
     return;
   }
   event_driven_ = true;
@@ -268,14 +263,7 @@ void Client::EnableEventDriven() {
       [this](sim::Delivery delivery) { OnDelivery(std::move(delivery)); });
 }
 
-bool Client::UsePipelining() const {
-  return window_ > 1 && transport_->SupportsPipelining();
-}
-
 util::Result<util::Bytes> Client::Call(uint32_t proc, const util::Bytes& args) {
-  if (!UsePipelining()) {
-    return LegacyCall(proc, args);
-  }
   // Submit through the window and pump until this call's reply lands;
   // earlier async calls complete (and run their callbacks) on the way.
   std::optional<util::Result<util::Bytes>> out;
@@ -287,169 +275,11 @@ util::Result<util::Bytes> Client::Call(uint32_t proc, const util::Bytes& args) {
   return std::move(*out);
 }
 
-util::Result<util::Bytes> Client::LegacyCall(uint32_t proc, const util::Bytes& args) {
-  uint32_t xid = next_xid_++;
-  uint32_t seqno = next_seqno_++;
-  ++calls_made_;
-  const std::string proc_name = namer_ ? namer_(proc) : std::to_string(proc);
-
-  // The call span covers the whole stop-and-wait exchange, retransmits
-  // included; pushed so link/server child spans nest under it.
-  obs::ScopedSpan call_span(spans_, "rpc.call." + proc_name, "rpc");
-
-  xdr::Encoder call;
-  call.PutUint32(xid);
-  call.PutUint32(seqno);
-  call.PutUint32(prog_);
-  call.PutUint32(proc);
-  call.PutOpaque(args);
-  if (obs::Span* s = call_span.span()) {
-    // Trace context rides after the args; sealed/retransmitted copies
-    // carry it verbatim, so the server always sees the original parent.
-    call.PutUint64(s->trace_id);
-    call.PutUint64(s->id);
-  }
-  const util::Bytes wire = call.Take();
-  if (obs::Span* s = call_span.span()) {
-    s->xid = xid;
-    s->seqno = seqno;
-    s->wire_bytes = wire.size();
-  }
-
-  obs::ProcMetrics* pm = metrics_.Get(proc, proc_name);
-  pm->calls->Increment();
-
-  sim::Clock* clock = transport_->clock();
-  const uint64_t t_call_ns = clock != nullptr ? clock->now_ns() : 0;
-  sim::Clock::CategorySnapshot before;
-  if (clock != nullptr) {
-    before = clock->categories();
-  }
-
-  auto emit = [&](obs::TraceEvent::Kind kind, uint32_t attempt, uint64_t wire_bytes,
-                  const std::string& note) {
-    if (!tracer_->active()) {
-      return;
-    }
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.layer = "rpc";
-    event.prog = prog_;
-    event.proc = proc;
-    event.proc_name = proc_name;
-    event.xid = xid;
-    event.seqno = seqno;
-    event.wire_bytes = wire_bytes;
-    event.t_send_ns = t_call_ns;
-    event.t_recv_ns = clock != nullptr ? clock->now_ns() : 0;
-    event.attempt = attempt;
-    event.note = note;
-    tracer_->Emit(event);
-  };
-
-  // On every exit path, attribute the call's elapsed virtual time to the
-  // per-procedure latency histogram and slice it by charge category.
-  auto finish = [&](bool ok, uint64_t reply_bytes) {
-    if (!ok) {
-      pm->errors->Increment();
-      if (obs::Span* s = call_span.span()) {
-        s->error = true;
-      }
-    }
-    pm->bytes_received->Increment(reply_bytes);
-    if (clock != nullptr) {
-      pm->latency->Record(clock->now_ns() - t_call_ns);
-      const sim::Clock::CategorySnapshot& after = clock->categories();
-      for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-        pm->time[i]->Increment(after.ns[i] - before.ns[i]);
-      }
-    }
-  };
-
-  emit(obs::TraceEvent::Kind::kClientCall, 0, wire.size(), "");
-
-  // Network reordering can hand us a stale reply (some earlier call's
-  // xid).  That is loss, not an attack: discard it, wait out a timeout,
-  // and retransmit the same wire bytes — the server's DRC guarantees the
-  // handler does not run twice.
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
-  }
-  uint32_t attempts = policy->max_transmissions == 0 ? 1 : policy->max_transmissions;
-  util::Status last_error = util::Unavailable("RPC: no matching reply");
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      if (clock != nullptr) {
-        clock->Advance(policy->initial_rto_ns, obs::TimeCategory::kWait);
-      }
-      ++retransmissions_;
-      m_stale_retries_->Increment();
-      pm->retransmits->Increment();
-      if (obs::Span* s = call_span.span()) {
-        ++s->retransmits;
-      }
-      emit(obs::TraceEvent::Kind::kClientRetransmit, attempt, wire.size(),
-           last_error.message());
-    }
-    pm->bytes_sent->Increment(wire.size());
-
-    auto roundtrip = transport_->Roundtrip(wire);
-    if (!roundtrip.ok()) {
-      // The transport already retried transit loss; its verdict is final.
-      finish(false, 0);
-      return roundtrip.status();
-    }
-
-    xdr::Decoder dec(std::move(roundtrip).value());
-    auto reply_xid = dec.GetUint32();
-    if (!reply_xid.ok()) {
-      last_error = util::InvalidArgument("RPC: truncated reply");
-      continue;
-    }
-    if (reply_xid.value() != xid) {
-      // Lookup-or-count: with a single outstanding call the lookup is
-      // just an equality check, but the discard is never silent — the
-      // unmatched-replies counter records every one.
-      ++unmatched_replies_;
-      m_unmatched_replies_->Increment();
-      last_error = util::Unavailable("RPC: stale reply xid, retransmitting");
-      emit(obs::TraceEvent::Kind::kClientStaleReply, attempt, 0,
-           "reply xid " + std::to_string(reply_xid.value()));
-      continue;
-    }
-    ASSIGN_OR_RETURN(uint32_t status, dec.GetUint32());
-    if (status == kReplyAccepted) {
-      ASSIGN_OR_RETURN(util::Bytes results, dec.GetOpaque());
-      if (!dec.AtEnd()) {
-        finish(false, 0);
-        return util::InvalidArgument("RPC: trailing bytes in reply");
-      }
-      finish(true, results.size());
-      emit(obs::TraceEvent::Kind::kClientReply, attempt, results.size(), "");
-      return results;
-    }
-    ASSIGN_OR_RETURN(uint32_t code, dec.GetUint32());
-    ASSIGN_OR_RETURN(std::string message, dec.GetString());
-    if (code == 0 || code > static_cast<uint32_t>(util::ErrorCode::kInternal)) {
-      code = static_cast<uint32_t>(util::ErrorCode::kInternal);
-    }
-    finish(false, 0);
-    return util::Status(static_cast<util::ErrorCode>(code), message);
-  }
-  finish(false, 0);
-  return util::Unavailable("RPC: gave up waiting for a fresh reply: " + last_error.message());
-}
-
-// --- Pipelined path ---------------------------------------------------------
-
 void Client::EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
                        uint64_t wire_bytes, const std::string& note) {
   if (!tracer_->active()) {
     return;
   }
-  sim::Clock* clock = transport_->clock();
   obs::TraceEvent event;
   event.kind = kind;
   event.layer = "rpc";
@@ -460,7 +290,7 @@ void Client::EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
   event.seqno = call.seqno;
   event.wire_bytes = wire_bytes;
   event.t_send_ns = call.t_call_ns;
-  event.t_recv_ns = clock != nullptr ? clock->now_ns() : 0;
+  event.t_recv_ns = clock_->now_ns();
   event.attempt = call.attempt;
   event.note = note;
   tracer_->Emit(event);
@@ -468,34 +298,36 @@ void Client::EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
 
 void Client::Transmit(PendingCall* call) {
   call->pm->bytes_sent->Increment(call->wire.size());
-  // The call span is ambient across Submit so the link's transit
-  // bookkeeping (and the server-side dispatch, which executes under the
-  // submitter's context) parent under it (Push(0) no-ops).
+  // The call span is ambient across Submit so the link's leg spans (and
+  // the server-side dispatch, which executes under the submitter's
+  // context) parent under it (Push(0) no-ops).
   spans_->Push(call->span_id);
   const uint64_t token = transport_->Submit(call->wire);
   spans_->Pop(call->span_id);
   token_to_xid_[token] = call->xid;
-  sim::Clock* clock = transport_->clock();
-  call->deadline_ns = (clock != nullptr ? clock->now_ns() : 0) + call->rto_ns;
+  ArmTimer(call);
+}
+
+void Client::ArmTimer(PendingCall* call) {
+  call->deadline_ns = clock_->now_ns() + call->rto_ns;
   if (event_driven_) {
     // Cancellable engine timer instead of the AwaitNext deadline poll.
     // The timer fires only if nothing completed the call first; the gap
-    // it bridges (idle waiting out a lost message) is kWait, same as the
-    // pull path charges it.
+    // it bridges is charged as the next live event would charge it
+    // (idle waiting out a lost message is kWait, same as the pull path).
     const uint32_t xid = call->xid;
-    call->timer_id = clock->events()->Schedule(
-        call->deadline_ns, obs::TimeCategory::kWait,
-        [this, xid] { OnRetransmitTimer(xid); });
+    call->timer_id = clock_->events()->Schedule(
+        call->deadline_ns, sim::GapAttribution::SplitNext(), [this, xid] {
+          auto it = pending_.find(xid);
+          if (it != pending_.end()) {
+            it->second.timer_id = 0;  // This timer just fired.
+            OnDeadline(&it->second);
+          }
+        });
   }
 }
 
 void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
-  if (!UsePipelining()) {
-    // Stop-and-wait fallback: complete synchronously.
-    done(LegacyCall(proc, args));
-    return;
-  }
-  sim::Clock* clock = transport_->clock();
   // A new call may enter only when (a) a window slot is free and (b) its
   // seqno would stay within the server's duplicate-request window of the
   // oldest outstanding call.  (b) matters because completions arrive out
@@ -516,21 +348,13 @@ void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
   if (!may_issue()) {
     // Pump until the call may enter.  The wait is real queueing delay the
     // caller experiences, so record it.
-    const uint64_t wait_start = clock != nullptr ? clock->now_ns() : 0;
+    const uint64_t wait_start = clock_->now_ns();
     while (!may_issue()) {
       PumpOnce();
     }
-    if (clock != nullptr) {
-      m_queue_wait_->Record(clock->now_ns() - wait_start);
-    }
+    m_queue_wait_->Record(clock_->now_ns() - wait_start);
   } else {
     m_queue_wait_->Record(0);
-  }
-
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
   }
 
   uint32_t xid = next_xid_++;
@@ -570,8 +394,8 @@ void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
   if (obs::Span* s = spans_->Find(span_id)) {
     s->wire_bytes = call.wire.size();
   }
-  call.t_call_ns = clock != nullptr ? clock->now_ns() : 0;
-  call.rto_ns = policy->initial_rto_ns;
+  call.t_call_ns = clock_->now_ns();
+  call.rto_ns = transport_->retry_policy().initial_rto_ns;
   call.pm = metrics_.Get(proc, call.proc_name);
   call.pm->calls->Increment();
   call.done = std::move(done);
@@ -599,7 +423,7 @@ void Client::PumpOnce() {
     // Deliveries and retransmission timers are all engine events; with a
     // call pending there is always at least one scheduled (its timer),
     // so one dispatch always makes progress.
-    transport_->clock()->events()->RunOne();
+    clock_->events()->RunOne();
     return;
   }
   uint64_t deadline = pending_.begin()->second.deadline_ns;
@@ -612,77 +436,49 @@ void Client::PumpOnce() {
     return;
   }
 
-  // The earliest retransmission timer fired with nothing on the wire:
-  // resend (or give up on) every expired call.
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
-  }
-  sim::Clock* clock = transport_->clock();
-  const uint64_t now = clock != nullptr ? clock->now_ns() : deadline;
+  // The earliest retransmission deadline passed with no delivery: handle
+  // every expired call.
+  const uint64_t now = clock_->now_ns();
   std::vector<uint32_t> expired;
   for (const auto& [xid, call] : pending_) {
     if (call.deadline_ns <= now) {
       expired.push_back(xid);
     }
   }
-  const uint32_t attempts = policy->max_transmissions == 0 ? 1 : policy->max_transmissions;
   for (uint32_t xid : expired) {
     auto it = pending_.find(xid);
-    if (it == pending_.end()) {
-      continue;
+    if (it != pending_.end()) {
+      OnDeadline(&it->second);
     }
-    PendingCall& call = it->second;
-    if (call.attempt + 1 >= attempts) {
-      Complete(xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
-      continue;
-    }
-    ++call.attempt;
-    call.rto_ns = std::min(call.rto_ns * policy->backoff_factor, policy->max_rto_ns);
-    // Timer resends count as link retransmissions (we cannot tell loss
-    // from reordering here), not as stale_retries — Testbed sums the
-    // two, so attributing to both would double-count.
-    ++retransmissions_;
-    transport_->NoteRetransmission();
-    call.pm->retransmits->Increment();
-    if (obs::Span* s = spans_->Find(call.span_id)) {
-      ++s->retransmits;
-    }
-    EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, call, call.wire.size(),
-              "retransmission timer expired");
-    Transmit(&call);
   }
 }
 
-void Client::OnRetransmitTimer(uint32_t xid) {
-  auto it = pending_.find(xid);
-  if (it == pending_.end()) {
-    return;  // Completed in the same dispatch round; timer raced the cancel.
+void Client::OnDeadline(PendingCall* call) {
+  for (const auto& [token, xid] : token_to_xid_) {
+    if (xid == call->xid && transport_->InProgress(token)) {
+      ArmTimer(call);  // Slow, not lost: a copy is still in progress.
+      return;
+    }
   }
-  PendingCall& call = it->second;
-  call.timer_id = 0;  // This timer just fired; Transmit re-arms.
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
-  }
-  const uint32_t attempts = policy->max_transmissions == 0 ? 1 : policy->max_transmissions;
-  if (call.attempt + 1 >= attempts) {
-    Complete(xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
+  const sim::RetryPolicy& policy = transport_->retry_policy();
+  const uint32_t attempts = policy.max_transmissions == 0 ? 1 : policy.max_transmissions;
+  if (call->attempt + 1 >= attempts) {
+    Complete(call->xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
     return;
   }
-  ++call.attempt;
-  call.rto_ns = std::min(call.rto_ns * policy->backoff_factor, policy->max_rto_ns);
+  ++call->attempt;
+  call->rto_ns = std::min(call->rto_ns * policy.backoff_factor, policy.max_rto_ns);
+  // Timer resends count as link retransmissions (we cannot tell loss
+  // from reordering here).
   ++retransmissions_;
   transport_->NoteRetransmission();
-  call.pm->retransmits->Increment();
-  if (obs::Span* s = spans_->Find(call.span_id)) {
+  call->pm->retransmits->Increment();
+  if (obs::Span* s = spans_->Find(call->span_id)) {
     ++s->retransmits;
   }
-  EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, call, call.wire.size(),
+  EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, *call, call->wire.size(),
             "retransmission timer expired");
-  Transmit(&call);
+  Transmit(call);
 }
 
 void Client::OnDelivery(sim::Delivery delivery) {
@@ -704,14 +500,13 @@ void Client::OnDelivery(sim::Delivery delivery) {
     ++unmatched_replies_;
     m_unmatched_replies_->Increment();
     if (tracer_->active()) {
-      sim::Clock* clock = transport_->clock();
       obs::TraceEvent event;
       event.kind = obs::TraceEvent::Kind::kClientStaleReply;
       event.layer = "rpc";
       event.prog = prog_;
       event.xid = xid;
       event.wire_bytes = delivery.response.size();
-      event.t_recv_ns = clock != nullptr ? clock->now_ns() : 0;
+      event.t_recv_ns = clock_->now_ns();
       event.note = note;
       tracer_->Emit(event);
     }
@@ -772,26 +567,23 @@ void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
   if (call.timer_id != 0) {
     // Event-driven mode: the reply beat the retransmission timer; cancel
     // it so it neither fires nor holds the event queue open.
-    transport_->clock()->events()->Cancel(call.timer_id);
+    clock_->events()->Cancel(call.timer_id);
   }
   // Retire every submission token still pointing at this call (dropped
   // copies never produced a delivery to clean themselves up).
   for (auto tok = token_to_xid_.begin(); tok != token_to_xid_.end();) {
     tok = tok->second == xid ? token_to_xid_.erase(tok) : std::next(tok);
   }
-  sim::Clock* clock = transport_->clock();
   if (result.ok()) {
     call.pm->bytes_received->Increment(result.value().size());
     EmitEvent(obs::TraceEvent::Kind::kClientReply, call, result.value().size(), "");
   } else {
     call.pm->errors->Increment();
   }
-  if (clock != nullptr) {
-    // Wall-clock latency of the whole call.  Per-category slices are not
-    // recorded here: overlapping calls share elapsed time, so a per-call
-    // category diff would double-charge (the legacy path keeps them).
-    call.pm->latency->Record(clock->now_ns() - call.t_call_ns);
-  }
+  // Wall-clock latency of the whole call.  Its per-category split is the
+  // rpc.call.<proc> span's cat_ns; a registry counter diffed across
+  // overlapping calls would double-charge shared time.
+  call.pm->latency->Record(clock_->now_ns() - call.t_call_ns);
   if (call.span_id != 0) {
     if (obs::Span* s = spans_->Find(call.span_id)) {
       s->error = !result.ok();

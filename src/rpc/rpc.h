@@ -3,7 +3,7 @@
 // Mirrors the paper's implementation structure (§3.2): programs
 // communicate via RPC with XDR-described messages, and the library can
 // pretty-print traffic for debugging.  A Dispatcher is the server side of
-// one connection; a Client issues synchronous calls over a sim::Link.
+// one connection; a Client issues calls over a sim::Link.
 //
 // Wire format (XDR):
 //   call:  uint32 xid, uint32 seqno, uint32 prog, uint32 proc, opaque args
@@ -23,13 +23,14 @@
 // and discarded, and each call retransmits on its own timer until the
 // matching reply arrives or the retry budget runs out.
 //
-// Pipelining: set_window(n > 1) lets the Client keep up to n calls in
-// flight over a transport that supports Submit/AwaitNext, overlapping
-// their round trips.  Replies may arrive out of order (the xid map
-// reassociates them); each in-flight call carries its own backed-off
-// retransmission timer and resends the identical wire bytes, so the
-// server-side DRC semantics are unchanged at any window size.  The
-// default window of 1 keeps the original stop-and-wait path.
+// One call engine: every call is submitted through the transport and
+// completed by its delivery event (sim::Link's discrete-event core).
+// set_window(n) lets the Client keep up to n calls in flight, overlapping
+// their round trips; the default window of 1 is stop-and-wait — the same
+// engine with one call in flight.  Replies may arrive out of order (the
+// xid map reassociates them); each in-flight call carries its own
+// backed-off retransmission timer and resends the identical wire bytes,
+// so the server-side DRC semantics are the same at any window size.
 #ifndef SFS_SRC_RPC_RPC_H_
 #define SFS_SRC_RPC_RPC_H_
 
@@ -108,57 +109,43 @@ class Dispatcher : public sim::Service {
   obs::Counter* m_drc_hits_;
 };
 
-// Transport abstraction for the client: anything that can do a
-// request/response roundtrip (a raw sim::Link, or an encrypted channel).
+// Transport abstraction for the client: anything that puts requests on
+// a wire and hands back their deliveries, with the semantics of
+// sim::Link's Submit / AwaitNext / InProgress / set_delivery_sink.
 class Transport {
  public:
   virtual ~Transport() = default;
-  virtual util::Result<util::Bytes> Roundtrip(const util::Bytes& request) = 0;
-  // The clock and retry policy governing this transport, when it has one;
-  // lets the client charge virtual time while waiting out stale replies.
-  virtual sim::Clock* clock() { return nullptr; }
-  virtual const sim::RetryPolicy* retry_policy() const { return nullptr; }
-
-  // Pipelining surface (see sim::Link): transports that can overlap
-  // calls implement these; the default keeps callers on Roundtrip.
-  virtual bool SupportsPipelining() const { return false; }
-  virtual uint64_t Submit(const util::Bytes& request) {
-    (void)request;
-    return 0;
-  }
-  virtual std::optional<sim::Delivery> AwaitNext(uint64_t deadline_ns) {
-    (void)deadline_ns;
-    return std::nullopt;
-  }
-  virtual void NoteRetransmission() {}
-
-  // Event-driven surface: a transport that can push deliveries at their
-  // delivery event (instead of being pulled via AwaitNext) accepts a
-  // sink here.  Fleet-scale harnesses run one top-level event loop over
-  // thousands of clients; nested per-client pumping would recurse.
-  virtual bool SupportsEventDriven() const { return false; }
-  virtual void SetDeliverySink(std::function<void(sim::Delivery)> sink) { (void)sink; }
+  virtual uint64_t Submit(util::Bytes request) = 0;
+  virtual std::optional<sim::Delivery> AwaitNext(uint64_t deadline_ns) = 0;
+  virtual bool InProgress(uint64_t token) const = 0;
+  virtual void NoteRetransmission() = 0;
+  // Event-driven surface: deliveries are pushed to `sink` at their
+  // delivery event instead of being pulled via AwaitNext.  Fleet-scale
+  // harnesses run one top-level event loop over thousands of clients;
+  // nested per-client pumping would recurse.
+  virtual void SetDeliverySink(std::function<void(sim::Delivery)> sink) = 0;
+  // The clock and retry policy governing this transport.
+  virtual sim::Clock* clock() = 0;
+  virtual const sim::RetryPolicy& retry_policy() const = 0;
 };
 
 // Adapts sim::Link to Transport.
 class LinkTransport : public Transport {
  public:
   explicit LinkTransport(sim::Link* link) : link_(link) {}
-  util::Result<util::Bytes> Roundtrip(const util::Bytes& request) override {
-    return link_->Roundtrip(request);
+  uint64_t Submit(util::Bytes request) override {
+    return link_->Submit(std::move(request));
   }
-  sim::Clock* clock() override { return link_->clock(); }
-  const sim::RetryPolicy* retry_policy() const override { return &link_->retry_policy(); }
-  bool SupportsPipelining() const override { return true; }
-  uint64_t Submit(const util::Bytes& request) override { return link_->Submit(request); }
   std::optional<sim::Delivery> AwaitNext(uint64_t deadline_ns) override {
     return link_->AwaitNext(deadline_ns);
   }
+  bool InProgress(uint64_t token) const override { return link_->InProgress(token); }
   void NoteRetransmission() override { link_->NoteRetransmission(); }
-  bool SupportsEventDriven() const override { return true; }
   void SetDeliverySink(std::function<void(sim::Delivery)> sink) override {
     link_->set_delivery_sink(std::move(sink));
   }
+  sim::Clock* clock() override { return link_->clock(); }
+  const sim::RetryPolicy& retry_policy() const override { return link_->retry_policy(); }
 
  private:
   sim::Link* link_;
@@ -177,9 +164,9 @@ class Client {
 
   // Synchronous call.  Errors from the transport (kUnavailable,
   // kSecurityError) and from the remote handler both surface as Status.
-  // With a window > 1 this submits through the pipelined path and pumps
-  // deliveries until this call completes — earlier async calls' replies
-  // are processed (and their callbacks run) along the way.
+  // Submits through CallAsync and pumps deliveries until this call
+  // completes — earlier async calls' replies are processed (and their
+  // callbacks run) along the way.
   util::Result<util::Bytes> Call(uint32_t proc, const util::Bytes& args);
 
   // Completion for an asynchronous call: the decoded results, or the
@@ -188,8 +175,7 @@ class Client {
 
   // Starts a call without waiting for its reply.  If the window is full,
   // blocks (pumping deliveries) until a slot frees; the wait is recorded
-  // in the rpc.client.queue_wait_ns histogram.  Requires a pipelining
-  // transport and window > 1.
+  // in the rpc.client.queue_wait_ns histogram.
   void CallAsync(uint32_t proc, const util::Bytes& args, Callback done);
 
   // Pumps until every outstanding async call has completed.
@@ -201,21 +187,20 @@ class Client {
   // clock's EventQueue instead of being polled by AwaitNext.  Call/
   // CallAsync/Drain keep working (they pump the shared event loop), but
   // a fleet harness can equally run the loop itself and let completions
-  // flow through callbacks.  Requires a pipelining, event-capable
-  // transport; no-op otherwise.
+  // flow through callbacks.
   void EnableEventDriven();
   bool event_driven() const { return event_driven_; }
 
-  // Sliding send window: 1 (default) is stop-and-wait; larger values
-  // pipeline up to `window` concurrent calls.  Clamped to kMaxSendWindow.
+  // Sliding send window: 1 (default) is stop-and-wait, one call in
+  // flight; larger values pipeline up to `window` concurrent calls.
+  // Clamped to kMaxSendWindow.
   void set_window(uint32_t window);
   uint32_t window() const { return window_; }
   uint64_t in_flight() const { return pending_.size(); }
 
   uint64_t calls_made() const { return calls_made_; }
-  // Calls resent because the reply in hand was stale (wrong xid).
-  // Per-instance shim; the registry's rpc.client.stale_retries counter
-  // aggregates the same events across clients.
+  // Calls resent because their retransmission timer expired.  The same
+  // resends feed the link's link.retransmissions counter.
   uint64_t retransmissions() const { return retransmissions_; }
   // Replies that matched no outstanding call (late duplicates from
   // reordering); aggregated in rpc.client.unmatched_replies.
@@ -238,7 +223,6 @@ class Client {
     Callback done;
   };
 
-  bool UsePipelining() const;
   // Sends (or resends) a pending call and arms its timer.
   void Transmit(PendingCall* call);
   // Waits for the next delivery or the earliest retransmission deadline;
@@ -246,15 +230,17 @@ class Client {
   void PumpOnce();
   // Handles one delivered message: match by xid, complete or count.
   void OnDelivery(sim::Delivery delivery);
-  // Event-driven retransmission timer fired for `xid`: resend or give up.
-  void OnRetransmitTimer(uint32_t xid);
+  // Retransmission deadline of `call` passed: re-arm it if a copy is
+  // still in progress (sim::Link::InProgress), else resend or give up.
+  void OnDeadline(PendingCall* call);
+  void ArmTimer(PendingCall* call);
   // Removes the call from the window and runs its callback.
   void Complete(uint32_t xid, util::Result<util::Bytes> result);
   void EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
                  uint64_t wire_bytes, const std::string& note);
-  util::Result<util::Bytes> LegacyCall(uint32_t proc, const util::Bytes& args);
 
   Transport* transport_;
+  sim::Clock* clock_;
   uint32_t prog_;
   std::string prog_name_;
   ProcNamer namer_;
@@ -266,15 +252,15 @@ class Client {
   uint64_t retransmissions_ = 0;
   uint64_t unmatched_replies_ = 0;
 
-  // Outstanding pipelined calls by xid, plus the submission-token map
-  // used to attribute service-level error deliveries.
+  // Outstanding calls by xid, plus the submission-token map used to
+  // attribute service-level error deliveries and to ask the transport
+  // whether any copy of a call is still in progress.
   std::map<uint32_t, PendingCall> pending_;
   std::map<uint64_t, uint32_t> token_to_xid_;
 
   obs::Registry* registry_;
   obs::Tracer* tracer_;
   obs::SpanCollector* spans_;
-  obs::Counter* m_stale_retries_;
   obs::Counter* m_unmatched_replies_;
   obs::Counter* m_window_occupancy_sum_;
   obs::Counter* m_window_samples_;

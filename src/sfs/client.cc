@@ -148,7 +148,6 @@ util::Result<SfsClient::MountPoint*> SfsClient::Mount(const SelfCertifyingPath& 
   }
   mount->tracer_ = &registry_->tracer();
   mount->spans_ = &registry_->spans();
-  mount->m_stale_retries_ = registry_->GetCounter("rpc.client.stale_retries");
   mount->m_unmatched_replies_ = registry_->GetCounter("rpc.client.unmatched_replies");
   mount->m_window_occupancy_sum_ = registry_->GetCounter("rpc.client.window_occupancy_sum");
   mount->m_window_samples_ = registry_->GetCounter("rpc.client.window_samples");
@@ -300,9 +299,6 @@ util::Result<SfsClient::MountPoint*> SfsClient::Mount(const SelfCertifyingPath& 
 
 util::Result<util::Bytes> SfsClient::MountPoint::Call(uint32_t prog, uint32_t proc,
                                                       const util::Bytes& args) {
-  if (window_ <= 1) {
-    return LegacyCall(prog, proc, args);
-  }
   std::optional<util::Result<util::Bytes>> out;
   CallAsync(prog, proc, args,
             [&out](util::Result<util::Bytes> result) { out = std::move(result); });
@@ -310,219 +306,6 @@ util::Result<util::Bytes> SfsClient::MountPoint::Call(uint32_t prog, uint32_t pr
     PumpOnce();
   }
   return std::move(*out);
-}
-
-util::Result<util::Bytes> SfsClient::MountPoint::LegacyCall(uint32_t prog, uint32_t proc,
-                                                            const util::Bytes& args) {
-  const bool is_nfs = prog == nfs::kNfsProgram;
-  const std::string proc_name =
-      is_nfs ? nfs::ProcName(proc)
-             : (prog == kSfsCtlProgram ? CtlProcName(proc) : std::to_string(proc));
-
-  // Channel call span: covers seal, transit, server work, open, and any
-  // retransmission waits.  Pushed so those child spans nest under it.
-  obs::ScopedSpan call_span(spans_, "sfs.call." + proc_name, "sfs.chan");
-
-  // Build the RPC message.  The trace context travels *inside* the
-  // sealed body (the server parents its dispatch span after opening);
-  // only the wire seqno is cleartext (docs/PROTOCOL.md §10).
-  uint32_t xid = next_xid_++;
-  xdr::Encoder call;
-  call.PutUint32(xid);
-  call.PutUint32(prog);
-  call.PutUint32(proc);
-  call.PutOpaque(args);
-  if (obs::Span* s = call_span.span()) {
-    call.PutUint64(s->trace_id);
-    call.PutUint64(s->id);
-  }
-  util::Bytes rpc_message = call.Take();
-
-  obs::ProcMetrics* pm = is_nfs ? nfs_metrics_.Get(proc, proc_name)
-                                : ctl_metrics_.Get(proc, proc_name);
-  pm->calls->Increment();
-  sim::Clock* clock = client_->clock_;
-  const uint64_t t_call_ns = clock->now_ns();
-  const sim::Clock::CategorySnapshot before = clock->categories();
-
-  // On every exit path, attribute the call's elapsed virtual time to the
-  // per-procedure latency histogram and slice it by charge category.
-  auto finish = [&](bool ok, uint64_t reply_bytes) {
-    if (!ok) {
-      pm->errors->Increment();
-      if (obs::Span* s = call_span.span()) {
-        s->error = true;
-      }
-    }
-    pm->bytes_received->Increment(reply_bytes);
-    pm->latency->Record(clock->now_ns() - t_call_ns);
-    const sim::Clock::CategorySnapshot& after = clock->categories();
-    for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-      pm->time[i]->Increment(after.ns[i] - before.ns[i]);
-    }
-  };
-
-  // User-level client daemon: two kernel crossings, then seal — exactly
-  // once.  Retransmission resends these identical sealed bytes, so the
-  // send keystream advances once per request no matter how many copies
-  // the network loses; the wire seqno outside the sealed body lets the
-  // server deduplicate without opening the duplicate.
-  client_->costs_->ChargeCrossing(client_->clock_, 2);
-  util::Bytes sealed;
-  if (cleartext_) {
-    client_->costs_->ChargeCopy(client_->clock_, rpc_message.size());
-    sealed = rpc_message;
-  } else {
-    const uint64_t seal_start_ns = clock->now_ns();
-    sealed = cipher_out_->Seal(rpc_message);
-    client_->costs_->ChargeCrypto(client_->clock_, sealed.size());
-    RecordCryptoSpan(spans_, "sfs.seal", seal_start_ns, clock->now_ns(), sealed.size(),
-                     spans_->current());
-  }
-  uint32_t wire_seqno = next_wire_seqno_++;
-  xdr::Encoder frame;
-  frame.PutUint32(wire_seqno);
-  frame.PutOpaque(sealed);
-  const util::Bytes wire = FrameMessage(kMsgEncrypted, frame.Take());
-  if (obs::Span* s = call_span.span()) {
-    s->xid = xid;
-    s->seqno = wire_seqno;
-    s->wire_bytes = wire.size();
-  }
-
-  auto emit = [&](obs::TraceEvent::Kind kind, uint32_t attempt, uint64_t wire_bytes,
-                  const std::string& note) {
-    if (!tracer_->active()) {
-      return;
-    }
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.layer = "sfs.chan";
-    event.prog = prog;
-    event.proc = proc;
-    event.proc_name = proc_name;
-    event.xid = xid;
-    event.seqno = wire_seqno;
-    event.wire_bytes = wire_bytes;
-    event.t_send_ns = t_call_ns;
-    event.t_recv_ns = clock->now_ns();
-    event.attempt = attempt;
-    event.note = note;
-    tracer_->Emit(event);
-  };
-  emit(obs::TraceEvent::Kind::kClientCall, 0, wire.size(), "");
-
-  const sim::RetryPolicy& policy = link_->retry_policy();
-  uint32_t attempts = policy.max_transmissions == 0 ? 1 : policy.max_transmissions;
-  util::Status last_error = util::Unavailable("no valid reply");
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      // The reply in hand was stale; wait out a timeout and resend.  The
-      // server's duplicate-request cache replays the genuine sealed
-      // reply without re-executing or advancing either keystream.
-      client_->clock_->Advance(policy.initial_rto_ns, obs::TimeCategory::kWait);
-      ++stale_retries_;
-      m_stale_retries_->Increment();
-      pm->retransmits->Increment();
-      if (obs::Span* s = call_span.span()) {
-        ++s->retransmits;
-      }
-      emit(obs::TraceEvent::Kind::kClientRetransmit, attempt, wire.size(),
-           last_error.message());
-    }
-    pm->bytes_sent->Increment(wire.size());
-
-    auto raw_reply = link_->Roundtrip(wire);
-    if (!raw_reply.ok()) {
-      // The link already retried transit loss; its verdict is final.
-      finish(false, 0);
-      return raw_reply.status();
-    }
-    auto frame_payload = Unframe(kMsgEncrypted, raw_reply.value());
-    if (!frame_payload.ok()) {
-      last_error = frame_payload.status();
-      emit(obs::TraceEvent::Kind::kClientStaleReply, attempt, raw_reply->size(),
-           last_error.message());
-      continue;
-    }
-    // The reply frame echoes the request's wire seqno in cleartext
-    // (docs/PROTOCOL.md §10), so a stale duplicate is caught before the
-    // cipher is touched.
-    xdr::Decoder frame_dec(frame_payload.value());
-    auto echo_seqno = frame_dec.GetUint32();
-    auto sealed_reply = frame_dec.GetOpaque();
-    if (!echo_seqno.ok() || !sealed_reply.ok() || !frame_dec.AtEnd()) {
-      last_error = util::SecurityError("malformed encrypted reply frame");
-      emit(obs::TraceEvent::Kind::kClientStaleReply, attempt, raw_reply->size(),
-           last_error.message());
-      continue;
-    }
-    if (echo_seqno.value() != wire_seqno) {
-      ++unmatched_replies_;
-      m_unmatched_replies_->Increment();
-      last_error = util::Unavailable("stale reply for seqno " +
-                                     std::to_string(echo_seqno.value()));
-      emit(obs::TraceEvent::Kind::kClientStaleReply, attempt, raw_reply->size(),
-           last_error.message());
-      continue;
-    }
-
-    util::Bytes reply;
-    if (cleartext_) {
-      client_->costs_->ChargeCopy(client_->clock_, sealed_reply->size());
-      reply = sealed_reply.value();
-    } else {
-      const uint64_t open_start_ns = clock->now_ns();
-      client_->costs_->ChargeCrypto(client_->clock_, sealed_reply->size());
-      RecordCryptoSpan(spans_, "sfs.open", open_start_ns, clock->now_ns(),
-                       sealed_reply->size(), spans_->current());
-      auto opened = cipher_in_->Open(sealed_reply.value());
-      if (!opened.ok()) {
-        // Wrong keystream position: a reordered or replayed stale reply
-        // (or tampering — indistinguishable here).  Open left the stream
-        // untouched, so discard and retransmit; persistent failure
-        // surfaces the security error after the retry budget.
-        last_error = opened.status();
-        emit(obs::TraceEvent::Kind::kClientStaleReply, attempt, sealed_reply->size(),
-             last_error.message());
-        continue;
-      }
-      reply = std::move(opened).value();
-    }
-
-    // Parse the RPC reply; a mismatched xid marks a stale reply in
-    // cleartext mode (sealed mode already caught it via the MAC).
-    xdr::Decoder dec(reply);
-    auto reply_xid = dec.GetUint32();
-    if (!reply_xid.ok()) {
-      last_error = util::InvalidArgument("truncated RPC reply");
-      continue;
-    }
-    if (reply_xid.value() != xid) {
-      last_error = util::Unavailable("stale RPC reply xid");
-      emit(obs::TraceEvent::Kind::kClientStaleReply, attempt, reply.size(),
-           "reply xid " + std::to_string(reply_xid.value()));
-      continue;
-    }
-    ASSIGN_OR_RETURN(uint32_t status, dec.GetUint32());
-    if (status == 0) {
-      auto results = dec.GetOpaque();
-      finish(results.ok(), results.ok() ? results->size() : 0);
-      if (results.ok()) {
-        emit(obs::TraceEvent::Kind::kClientReply, attempt, results->size(), "");
-      }
-      return results;
-    }
-    ASSIGN_OR_RETURN(uint32_t code, dec.GetUint32());
-    ASSIGN_OR_RETURN(std::string message, dec.GetString());
-    if (code == 0 || code > static_cast<uint32_t>(util::ErrorCode::kInternal)) {
-      code = static_cast<uint32_t>(util::ErrorCode::kInternal);
-    }
-    finish(false, 0);
-    return util::Status(static_cast<util::ErrorCode>(code), message);
-  }
-  finish(false, 0);
-  return last_error;
 }
 
 void SfsClient::MountPoint::EmitChannelEvent(obs::TraceEvent::Kind kind,
@@ -567,8 +350,9 @@ void SfsClient::MountPoint::CountUnmatched(uint32_t seqno, uint64_t wire_bytes,
 
 void SfsClient::MountPoint::Transmit(PendingChannelCall* call) {
   call->pm->bytes_sent->Increment(call->wire.size());
-  // Ambient across Submit so the inline server handler and the link's
-  // transit bookkeeping parent under this call (Push(0) no-ops).
+  // Ambient across Submit so the link's leg spans and the server's
+  // handler (run under the submitter's context) parent under this call
+  // (Push(0) no-ops).
   spans_->Push(call->span_id);
   const uint64_t token = link_->Submit(call->wire);
   spans_->Pop(call->span_id);
@@ -595,8 +379,9 @@ void SfsClient::MountPoint::CallAsync(uint32_t prog, uint32_t proc, const util::
       is_nfs ? nfs::ProcName(proc)
              : (prog == kSfsCtlProgram ? CtlProcName(proc) : std::to_string(proc));
 
-  // Async channel call span, parented to the ambient span at submission
-  // and ended when the in-order opener completes the call.
+  // Channel call span, parented to the ambient span at submission and
+  // ended when the in-order opener completes the call.  It covers seal,
+  // transit, server work, open, and any retransmission waits.
   uint64_t span_id = 0;
   if (spans_->enabled()) {
     span_id = spans_->Begin("sfs.call." + proc_name, "sfs.chan");
@@ -608,7 +393,9 @@ void SfsClient::MountPoint::CallAsync(uint32_t prog, uint32_t proc, const util::
   call_enc.PutUint32(proc);
   call_enc.PutOpaque(args);
   if (obs::Span* s = spans_->Find(span_id)) {
-    // Trace context rides inside the sealed body (see LegacyCall).
+    // The trace context travels *inside* the sealed body (the server
+    // parents its dispatch span after opening); only the wire seqno is
+    // cleartext (docs/PROTOCOL.md §10).
     call_enc.PutUint64(s->trace_id);
     call_enc.PutUint64(s->id);
     s->xid = xid;
@@ -627,10 +414,11 @@ void SfsClient::MountPoint::CallAsync(uint32_t prog, uint32_t proc, const util::
   call.t_call_ns = clock->now_ns();
   call.done = std::move(done);
 
-  // Seal exactly once — the same rule as the stop-and-wait path.  Timer
-  // retransmissions resend these identical bytes, so the send keystream
-  // advances once per request no matter how many copies the network
-  // loses, and the server's DRC matches duplicates without opening them.
+  // User-level client daemon: two kernel crossings, then seal — exactly
+  // once.  Timer retransmissions resend these identical bytes, so the
+  // send keystream advances once per request no matter how many copies
+  // the network loses, and the wire seqno outside the sealed body lets
+  // the server's DRC match duplicates without opening them.
   client_->costs_->ChargeCrossing(client_->clock_, 2);
   util::Bytes sealed;
   if (cleartext_) {
@@ -684,8 +472,6 @@ void SfsClient::MountPoint::PumpOnce() {
     return;
   }
 
-  const sim::RetryPolicy& policy = link_->retry_policy();
-  const uint32_t attempts = policy.max_transmissions == 0 ? 1 : policy.max_transmissions;
   const uint64_t now = client_->clock_->now_ns();
   std::vector<uint32_t> expired;
   for (const auto& [seqno, call] : pending_) {
@@ -695,29 +481,42 @@ void SfsClient::MountPoint::PumpOnce() {
   }
   for (uint32_t seqno : expired) {
     auto it = pending_.find(seqno);
-    if (it == pending_.end()) {
-      continue;
+    if (it != pending_.end()) {
+      OnDeadline(&it->second);
     }
-    PendingChannelCall& call = it->second;
-    if (call.attempt + 1 >= attempts) {
-      CompleteChannelCall(
-          seqno, util::Unavailable("channel retry budget exhausted waiting for reply"));
-      continue;
-    }
-    ++call.attempt;
-    call.rto_ns = std::min(call.rto_ns * policy.backoff_factor, policy.max_rto_ns);
-    // Timer resends count as link retransmissions — the pipelined analog
-    // of Roundtrip's internal retry loop — not as stale_retries: the
-    // benchmark testbed sums both and must not double-count.
-    link_->NoteRetransmission();
-    call.pm->retransmits->Increment();
-    if (obs::Span* s = spans_->Find(call.span_id)) {
-      ++s->retransmits;
-    }
-    EmitChannelEvent(obs::TraceEvent::Kind::kClientRetransmit, call, call.wire.size(),
-                     "retransmission timer expired");
-    Transmit(&call);
   }
+}
+
+void SfsClient::MountPoint::OnDeadline(PendingChannelCall* call) {
+  for (const auto& [token, seqno] : token_to_seqno_) {
+    if (seqno == call->wire_seqno && link_->InProgress(token)) {
+      // Slow, not lost: a copy is still in progress.
+      call->deadline_ns = client_->clock_->now_ns() + call->rto_ns;
+      return;
+    }
+  }
+  const sim::RetryPolicy& policy = link_->retry_policy();
+  const uint32_t attempts = policy.max_transmissions == 0 ? 1 : policy.max_transmissions;
+  if (call->attempt + 1 >= attempts) {
+    // A reply that kept failing its MAC is a security verdict, not
+    // silence: persistent tampering surfaces as such.
+    CompleteChannelCall(
+        call->wire_seqno,
+        !call->open_error.ok()
+            ? call->open_error
+            : util::Unavailable("channel retry budget exhausted waiting for reply"));
+    return;
+  }
+  ++call->attempt;
+  call->rto_ns = std::min(call->rto_ns * policy.backoff_factor, policy.max_rto_ns);
+  link_->NoteRetransmission();
+  call->pm->retransmits->Increment();
+  if (obs::Span* s = spans_->Find(call->span_id)) {
+    ++s->retransmits;
+  }
+  EmitChannelEvent(obs::TraceEvent::Kind::kClientRetransmit, *call, call->wire.size(),
+                   "retransmission timer expired");
+  Transmit(call);
 }
 
 void SfsClient::MountPoint::OnChannelDelivery(sim::Delivery delivery) {
@@ -794,6 +593,7 @@ void SfsClient::MountPoint::TryOpenInOrder() {
         // Tampered or corrupt at the expected keystream position.  Open
         // left the stream untouched; the call's timer resends, and the
         // server's DRC replays the genuine sealed bytes for this seqno.
+        call.open_error = opened.status();
         CountUnmatched(next_open_seqno_, sealed.size(), opened.status().message());
         return;
       }
@@ -853,10 +653,10 @@ void SfsClient::MountPoint::CompleteChannelCall(uint32_t wire_seqno,
   } else {
     call.pm->bytes_received->Increment(result->size());
   }
+  // The call's per-category split is its sfs.call.<proc> span's cat_ns;
+  // a registry counter diffed across overlapping calls would double-
+  // count shared time.
   call.pm->latency->Record(client_->clock_->now_ns() - call.t_call_ns);
-  // Per-category time slices are deliberately not recorded for pipelined
-  // calls: overlapping calls would each claim the full shared-clock
-  // delta and double-count every category.
   if (call.span_id != 0) {
     if (obs::Span* s = spans_->Find(call.span_id)) {
       s->error = !result.ok();

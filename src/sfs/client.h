@@ -50,9 +50,9 @@ class SfsClient {
     sim::LinkProfile profile = sim::LinkProfile::Tcp();
     uint64_t attr_timeout_ns = 5'000'000'000;
     uint64_t prng_seed = 2;
-    // Sliding send window for channel RPCs: 1 (default) keeps the
-    // original stop-and-wait discipline; larger values pipeline up to
-    // `window` concurrent calls over the secure channel (clamped to
+    // Sliding send window for channel RPCs: 1 (default) is stop-and-
+    // wait, one call in flight; larger values pipeline up to `window`
+    // concurrent calls over the secure channel (clamped to
     // rpc::kMaxSendWindow) and enable read-ahead in the cache layer.
     uint32_t window = 1;
     // Write-behind commit pipeline + close-to-open consistency in the
@@ -98,20 +98,14 @@ class SfsClient {
     std::optional<std::string> RemoteUserName(uint32_t uid);
     std::optional<uint32_t> RemoteUid(const std::string& name);
 
+    // Timer-driven resends are counted by link()->retransmissions().
     sim::Link* link() { return link_.get(); }
-
-    // Calls resent from above the link because the reply in hand was
-    // stale (wrong xid or wrong keystream position).  Transit-loss
-    // retransmits are counted by link()->retransmissions().  Per-instance
-    // shim; the registry's rpc.client.stale_retries counter aggregates
-    // the same events across mounts (and plain rpc::Clients).
-    uint64_t stale_retries() const { return stale_retries_; }
 
     // True for mounts served by the read-only dialect (verified signed
     // images; no secure channel, no user authentication).
     bool read_only() const { return ro_client_ != nullptr; }
 
-    // --- Pipelined channel (Options::window > 1) -----------------------
+    // --- Channel calls ---------------------------------------------------
     // Starts a channel call without waiting for its reply.  If the send
     // window is full, blocks (pumping deliveries) until a slot frees;
     // the wait lands in the rpc.client.queue_wait_ns histogram.  `done`
@@ -119,7 +113,7 @@ class SfsClient {
     // Drain on this mount.
     void CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args,
                    std::function<void(util::Result<util::Bytes>)> done);
-    // Completes every outstanding pipelined call.
+    // Completes every outstanding call.
     void Drain();
     uint32_t window() const { return window_; }
     uint64_t in_flight() const { return pending_.size(); }
@@ -150,9 +144,8 @@ class SfsClient {
     // Wire-level sequence number prefixed to each kMsgEncrypted frame;
     // keys the server connection's duplicate-request cache.
     uint32_t next_wire_seqno_ = 1;
-    uint64_t stale_retries_ = 0;
 
-    // Pipelined-channel state.  The receive keystream is positional, so
+    // Channel-call state.  The receive keystream is positional, so
     // sealed replies must open strictly in wire-seqno order: out-of-order
     // arrivals wait in `reorder_` until `next_open_seqno_` catches up (a
     // gap is filled by the owning call's retransmission timer — the
@@ -169,6 +162,9 @@ class SfsClient {
       uint64_t deadline_ns = 0;
       uint64_t rto_ns = 0;
       uint32_t attempt = 0;
+      // Why the last reply for this call failed to open (tampering looks
+      // like a bad MAC); surfaced if the retry budget runs out.
+      util::Status open_error = util::OkStatus();
       uint64_t span_id = 0;  // Open "sfs.call.<proc>" span; 0 = tracing off.
       obs::ProcMetrics* pm = nullptr;
       std::function<void(util::Result<util::Bytes>)> done;
@@ -185,7 +181,6 @@ class SfsClient {
     // SFS stacks report under the same metric names.
     obs::Tracer* tracer_ = nullptr;
     obs::SpanCollector* spans_ = nullptr;
-    obs::Counter* m_stale_retries_ = nullptr;
     obs::Counter* m_unmatched_replies_ = nullptr;
     obs::Counter* m_window_occupancy_sum_ = nullptr;
     obs::Counter* m_window_samples_ = nullptr;
@@ -195,18 +190,18 @@ class SfsClient {
     obs::ProcMetricsTable ctl_metrics_;  // "rpc.client.SFSCTL"
 
     // Sends one RPC through the secure channel, charging client-side
-    // crossings and crypto.  At window 1 this is the stop-and-wait
-    // LegacyCall; otherwise it submits through the pipelined path and
-    // pumps until this call completes (earlier async calls' callbacks
-    // run along the way).
+    // crossings and crypto: submits through CallAsync and pumps until
+    // this call completes (earlier async calls' callbacks run along the
+    // way).  Window 1 is the same engine with one call in flight.
     util::Result<util::Bytes> Call(uint32_t prog, uint32_t proc, const util::Bytes& args);
-    util::Result<util::Bytes> LegacyCall(uint32_t prog, uint32_t proc,
-                                         const util::Bytes& args);
     // Sends (or resends) a pending call and arms its timer.
     void Transmit(PendingChannelCall* call);
     // Waits for the next delivery or the earliest retransmission
     // deadline; processes whichever fires (at most one event).
     void PumpOnce();
+    // Retransmission deadline of `call` passed: re-arm it if a copy is
+    // still in progress (sim::Link::InProgress), else resend or give up.
+    void OnDeadline(PendingChannelCall* call);
     void OnChannelDelivery(sim::Delivery delivery);
     // Opens stashed sealed replies in seqno order from next_open_seqno_.
     void TryOpenInOrder();

@@ -46,12 +46,25 @@ struct GapAttribution {
   Clock::CategorySnapshot breakdown;
   uint64_t breakdown_total = 0;
 
+  // Split form: the event is a zero-duration observer (a timeline edge,
+  // a retransmission timer) landing inside another event's gap.  The
+  // part of the gap it bridges is charged as the next live event would
+  // charge it (see EventQueue::AdvanceTo), so a timer never turns link
+  // or server time into wait; with no live event left the gap is idle
+  // (kWait).
+  bool split_next = false;
+
   static GapAttribution Category(obs::TimeCategory category) {
     GapAttribution a;
     a.category = category;
     return a;
   }
   static GapAttribution Proportional(const Clock::CategorySnapshot& breakdown);
+  static GapAttribution SplitNext() {
+    GapAttribution a;
+    a.split_next = true;
+    return a;
+  }
 };
 
 class EventQueue {
@@ -89,6 +102,16 @@ class EventQueue {
   // schedule further events; it must not call RunOne reentrantly.
   bool RunOne();
 
+  // Advances the clock to `at_ns`, which must not lie beyond the next
+  // live event, charging the bridged gap as the next live event that is
+  // not itself a split observer would charge it, or kWait (idle) if none
+  // is left.  A proportional breakdown is drawn down by what was
+  // charged, so splitting a gap leaves the ledger as it was: exactly,
+  // whenever the split event's gap equals its measured breakdown (a
+  // stop-and-wait service gap).  Callers that wait with a deadline (a
+  // retransmission timer) use this instead of Clock::Advance.
+  void AdvanceTo(uint64_t at_ns);
+
   // Drains every event with timestamp <= until_ns.
   void RunUntil(uint64_t until_ns) {
     while (!empty() && next_time_ns() <= until_ns) {
@@ -119,6 +142,9 @@ class EventQueue {
 
   void PopHeap();
   void PushHeap(Entry entry);
+  // Advances the clock by `gap` charged per `attr`; a proportional
+  // breakdown is drawn down by the charges (see AdvanceTo).
+  void ChargeGap(uint64_t gap, GapAttribution* attr);
 
   Clock* clock_;
   std::vector<Entry> heap_;

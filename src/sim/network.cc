@@ -25,9 +25,10 @@ Host::~Host() {
 }
 
 void Host::Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
-                  std::function<void()> shed, Service* service) {
+                  std::function<void()> started, Service* service) {
   ++arrivals_;
-  Job job{std::move(request), ctx, std::move(respond), clock_->now_ns(), service};
+  Job job{std::move(request), ctx, std::move(respond), std::move(started), clock_->now_ns(),
+          service};
   if (in_service_ < options_.concurrency) {
     StartService(std::move(job));
     return;
@@ -42,12 +43,12 @@ void Host::Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
   // scheduled; the client's retransmission timer is the recovery.
   ++shed_;
   m_shed_->Increment();
-  if (shed) {
-    shed();
-  }
 }
 
 void Host::StartService(Job job) {
+  if (job.started) {
+    job.started();
+  }
   ++in_service_;
   g_in_service_->Add(1);
   const uint64_t wait_ns = clock_->now_ns() - job.arrive_ns;
@@ -179,78 +180,89 @@ void Link::CountMessage(size_t bytes) {
   m_bytes_->Increment(bytes);
 }
 
-void Link::ChargeOneWay(size_t bytes, const char* span_name) {
-  uint64_t transit = profile_.latency_ns + profile_.per_message_ns + SerializationNs(bytes);
-  const uint64_t start_ns = clock_->now_ns();
-  clock_->Advance(transit, obs::TimeCategory::kLink);
-  CountMessage(bytes);
-  if (transit != 0 && SpansEnabled()) {
-    obs::SpanCollector& spans = registry_->spans();
-    obs::Span span;
-    span.name = span_name;
-    span.layer = "sim.link";
-    span.start_ns = start_ns;
-    span.end_ns = start_ns + transit;
-    span.cat_ns[static_cast<size_t>(obs::TimeCategory::kLink)] = transit;
-    span.wire_bytes = bytes;
-    spans.RecordClosed(std::move(span), spans.current());
+void Link::RecordLegSpan(const char* name, uint64_t start_ns, size_t bytes,
+                         obs::SpanContext ctx, bool error) {
+  const uint64_t end_ns = clock_->now_ns();
+  if (end_ns == start_ns || !SpansEnabled()) {
+    return;
   }
+  obs::Span span;
+  span.name = name;
+  span.layer = "sim.link";
+  span.start_ns = start_ns;
+  span.end_ns = end_ns;
+  span.cat_ns[static_cast<size_t>(obs::TimeCategory::kLink)] = end_ns - start_ns;
+  span.wire_bytes = bytes;
+  span.error = error;
+  registry_->spans().RecordClosed(std::move(span), ctx);
 }
 
-void Link::EraseTransitInfo(uint64_t token) { transit_info_.erase(token); }
-
-uint64_t Link::Submit(const util::Bytes& request) {
+uint64_t Link::Submit(util::Bytes request) {
   const uint64_t token = next_token_++;
-  obs::SpanContext ctx;
-  if (SpansEnabled()) {
-    ctx = registry_->spans().current();
-    transit_info_[token] = TransitInfo{ctx.trace_id, ctx.span_id, clock_->now_ns()};
-  }
-  util::Bytes wire_request = request;
+  const obs::SpanContext ctx =
+      SpansEnabled() ? registry_->spans().current() : obs::SpanContext{};
   if (interposer_ != nullptr) {
-    auto intercepted = interposer_->OnRequest(std::move(wire_request));
+    auto intercepted = interposer_->OnRequest(std::move(request));
     if (!intercepted.ok()) {
       // Lost in transit: no arrival is ever scheduled; the sender's
-      // retransmission timer is the only recovery.  The token is dead,
-      // so its span bookkeeping goes with it.
+      // retransmission timer is the only recovery.
       ++drops_observed_;
       m_drops_->Increment();
-      EraseTransitInfo(token);
       return token;
     }
-    wire_request = std::move(intercepted).value();
+    request = std::move(intercepted).value();
   }
   // Draw the duplicate verdict before scheduling so the interposer's
   // deterministic sequence stays per-submission, then put both copies on
   // the uplink: each occupies wire bandwidth and, at arrival, the
   // server's admission pipeline — a duplicate is an ordinary arrival
   // that the service must deduplicate, not a free ride.
-  const bool duplicate = interposer_ != nullptr && interposer_->DuplicateRequest();
-  ScheduleRequestLeg(token, wire_request, ctx, /*is_duplicate=*/false);
-  if (duplicate) {
+  if (interposer_ != nullptr && interposer_->DuplicateRequest()) {
     ++duplicates_delivered_;
     m_duplicates_->Increment();
-    ScheduleRequestLeg(token, wire_request, ctx, /*is_duplicate=*/true);
+    util::Bytes copy = request;
+    ScheduleRequestLeg(token, std::move(request), ctx, /*is_duplicate=*/false);
+    ScheduleRequestLeg(token, std::move(copy), ctx, /*is_duplicate=*/true);
+  } else {
+    ScheduleRequestLeg(token, std::move(request), ctx, /*is_duplicate=*/false);
   }
   return token;
 }
 
-void Link::ScheduleRequestLeg(uint64_t token, const util::Bytes& wire_request,
+void Link::ScheduleRequestLeg(uint64_t token, util::Bytes wire_request,
                               obs::SpanContext ctx, bool is_duplicate) {
-  CountMessage(wire_request.size());
+  const size_t bytes = wire_request.size();
+  CountMessage(bytes);
   // Uplink: messages queue for bandwidth but overlap in propagation.
-  const uint64_t up_start = std::max(clock_->now_ns(), uplink_free_ns_);
-  uplink_free_ns_ = up_start + SerializationNs(wire_request.size());
+  const uint64_t send_ns = clock_->now_ns();
+  const uint64_t up_start = std::max(send_ns, uplink_free_ns_);
+  uplink_free_ns_ = up_start + SerializationNs(bytes);
   const uint64_t arrive_ns = uplink_free_ns_ + profile_.latency_ns + profile_.per_message_ns;
+  if (!is_duplicate) {
+    in_progress_.insert(token);
+  }
   ScheduleEvent(
       arrive_ns, obs::TimeCategory::kLink,
-      [this, token, wire_request, ctx, is_duplicate] {
-        // The respond/shed closures may sit in a shared Host's queue past
-        // this link's lifetime; the weak token disarms them.
+      [this, token, wire_request = std::move(wire_request), ctx, is_duplicate, send_ns,
+       bytes]() mutable {
+        RecordLegSpan(is_duplicate ? "link.send.dup" : "link.send", send_ns, bytes, ctx);
+        // Off the wire: the exchange is in progress again once a service
+        // slot takes it (a queued or shed request is not).  The closures
+        // may sit in a shared Host's queue past this link's lifetime; the
+        // weak token disarms them.
         std::weak_ptr<char> alive = alive_;
+        std::function<void()> started;
+        if (!is_duplicate) {
+          in_progress_.erase(token);
+          started = [this, alive, token] {
+            if (!alive.expired()) {
+              in_progress_.insert(token);
+            }
+          };
+        }
         host_->Arrive(
-            wire_request, ctx,
-            [this, alive, token, is_duplicate](util::Result<util::Bytes> result) {
+            std::move(wire_request), ctx,
+            [this, alive, token, ctx, is_duplicate](util::Result<util::Bytes> result) {
               if (alive.expired() || is_duplicate) {
                 // A dead link has no one to carry the reply to; a
                 // duplicate's reply finds no one waiting (the service
@@ -258,27 +270,21 @@ void Link::ScheduleRequestLeg(uint64_t token, const util::Bytes& wire_request,
                 // network discards it.
                 return;
               }
-              CompleteResponse(token, std::move(result));
+              CompleteResponse(token, std::move(result), ctx);
             },
-            [this, alive, token, is_duplicate] {
-              // Shed at admission: the token is dead (for the original;
-              // a shed duplicate changes nothing for the live original).
-              if (!alive.expired() && !is_duplicate) {
-                EraseTransitInfo(token);
-              }
-            },
-            service_);
+            std::move(started), service_);
       });
 }
 
-void Link::CompleteResponse(uint64_t token, util::Result<util::Bytes> result) {
+void Link::CompleteResponse(uint64_t token, util::Result<util::Bytes> result,
+                            obs::SpanContext ctx) {
   if (!result.ok()) {
     // A verdict from the service itself (dead connection, bad message)
     // is delivered like a reply: retrying the same bytes cannot help,
     // and the caller must hear about it.  It takes the full downlink leg
     // — latency, per-message overhead, serialization of its (empty)
     // body — and counts as a wire message, exactly like a success reply.
-    ScheduleResponseLeg(token, result.status(), util::Bytes{});
+    ScheduleResponseLeg(token, result.status(), util::Bytes{}, ctx);
     return;
   }
   util::Bytes wire_response = std::move(result).value();
@@ -287,49 +293,33 @@ void Link::CompleteResponse(uint64_t token, util::Result<util::Bytes> result) {
     if (!intercepted.ok()) {
       ++drops_observed_;
       m_drops_->Increment();
-      EraseTransitInfo(token);
+      in_progress_.erase(token);
       return;
     }
     wire_response = std::move(intercepted).value();
   }
-  ScheduleResponseLeg(token, util::OkStatus(), std::move(wire_response));
+  ScheduleResponseLeg(token, util::OkStatus(), std::move(wire_response), ctx);
 }
 
 void Link::ScheduleResponseLeg(uint64_t token, util::Status status,
-                               util::Bytes response) {
+                               util::Bytes response, obs::SpanContext ctx) {
   CountMessage(response.size());
-  const uint64_t down_start = std::max(clock_->now_ns(), downlink_free_ns_);
+  const uint64_t send_ns = clock_->now_ns();
+  const uint64_t down_start = std::max(send_ns, downlink_free_ns_);
   downlink_free_ns_ = down_start + SerializationNs(response.size());
   const uint64_t deliver_ns =
       downlink_free_ns_ + profile_.latency_ns + profile_.per_message_ns;
   ScheduleEvent(
       deliver_ns, obs::TimeCategory::kLink,
-      [this, token, status = std::move(status),
-       response = std::move(response)]() mutable {
+      [this, token, status = std::move(status), response = std::move(response), ctx,
+       send_ns]() mutable {
+        RecordLegSpan("link.recv", send_ns, response.size(), ctx, !status.ok());
         Deliver(Delivery{token, std::move(status), std::move(response)});
       });
 }
 
 void Link::Deliver(Delivery delivery) {
-  if (auto info = transit_info_.find(delivery.token); info != transit_info_.end()) {
-    if (SpansEnabled()) {
-      // Interval marker covering submit → delivery, parented into the
-      // submitter's trace.  Categories stay empty: the interval overlaps
-      // the server's service time and any concurrent transits, so a
-      // ledger slice here would misattribute shared time.
-      obs::Span span;
-      span.name = "link.transit";
-      span.layer = "sim.link";
-      span.start_ns = info->second.submit_ns;
-      span.end_ns = clock_->now_ns();
-      span.wire_bytes = delivery.response.size();
-      span.error = !delivery.status.ok();
-      registry_->spans().RecordClosed(
-          std::move(span),
-          obs::SpanContext{info->second.trace_id, info->second.parent_span_id});
-    }
-    transit_info_.erase(info);
-  }
+  in_progress_.erase(delivery.token);
   if (sink_) {
     sink_(std::move(delivery));
     return;
@@ -347,71 +337,37 @@ std::optional<Delivery> Link::AwaitNext(uint64_t deadline_ns) {
     ready_.pop_front();
     return delivery;
   }
-  if (deadline_ns > clock_->now_ns()) {
-    clock_->Advance(deadline_ns - clock_->now_ns(), obs::TimeCategory::kWait);
-  }
+  events->AdvanceTo(deadline_ns);
   return std::nullopt;
 }
 
 util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
+  const uint64_t first_token = next_token_;
+  const uint32_t attempts = std::max<uint32_t>(retry_policy_.max_transmissions, 1);
   uint64_t rto = retry_policy_.initial_rto_ns;
-  util::Status last_drop = util::Unavailable("request dropped in transit");
-  for (uint32_t attempt = 0; attempt < retry_policy_.max_transmissions; ++attempt) {
-    if (attempt > 0) {
-      // The full retransmission timeout elapses before the sender gives
-      // up on the outstanding copy and resends the same wire bytes.
-      clock_->Advance(rto, obs::TimeCategory::kWait);
-      rto = std::min(rto * retry_policy_.backoff_factor, retry_policy_.max_rto_ns);
-      ++retransmissions_;
-      m_retransmissions_->Increment();
-    }
-
-    util::Bytes wire_request = request;
-    if (interposer_ != nullptr) {
-      auto intercepted = interposer_->OnRequest(std::move(wire_request));
-      if (!intercepted.ok()) {
-        ++drops_observed_;
-        m_drops_->Increment();
-        last_drop = util::Unavailable("request dropped in transit: " +
-                                      intercepted.status().message());
-        continue;
+  for (uint32_t sent = 0;;) {
+    // Resend only when no copy of this exchange is in progress.
+    if (in_progress_.lower_bound(first_token) == in_progress_.end()) {
+      if (sent == attempts) {
+        return util::Unavailable("request lost in transit: retry budget exhausted");
       }
-      wire_request = std::move(intercepted).value();
-    }
-    ChargeOneWay(wire_request.size(), "link.send");
-
-    auto response = service_->Handle(wire_request);
-    if (!response.ok()) {
-      // An error from the service itself (dead connection, bad message)
-      // is not transit loss; retrying the same bytes cannot help.
-      return response.status();
-    }
-    util::Bytes wire_response = std::move(response).value();
-
-    if (interposer_ != nullptr && interposer_->DuplicateRequest()) {
-      // The network delivers a second copy of the request.  The service
-      // must deduplicate; its reply to the copy finds no one waiting.
-      ++duplicates_delivered_;
-      m_duplicates_->Increment();
-      ChargeOneWay(wire_request.size(), "link.send.dup");
-      (void)service_->Handle(wire_request);
-    }
-
-    if (interposer_ != nullptr) {
-      auto intercepted = interposer_->OnResponse(std::move(wire_response));
-      if (!intercepted.ok()) {
-        ++drops_observed_;
-        m_drops_->Increment();
-        last_drop = util::Unavailable("response dropped in transit: " +
-                                      intercepted.status().message());
-        continue;
+      if (sent++ > 0) {
+        NoteRetransmission();
+        rto = std::min(rto * retry_policy_.backoff_factor, retry_policy_.max_rto_ns);
       }
-      wire_response = std::move(intercepted).value();
+      Submit(request);
     }
-    ChargeOneWay(wire_response.size(), "link.recv");
-    return wire_response;
+    const uint64_t deadline_ns = clock_->now_ns() + rto;
+    while (std::optional<Delivery> delivery = AwaitNext(deadline_ns)) {
+      if (delivery->token < first_token) {
+        continue;  // A late reply to an earlier exchange on this link.
+      }
+      if (!delivery->status.ok()) {
+        return delivery->status;
+      }
+      return std::move(delivery->response);
+    }
   }
-  return last_drop;
 }
 
 // splitmix64: tiny, deterministic, and independent of the crypto layer.

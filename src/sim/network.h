@@ -1,5 +1,5 @@
-// Simulated network: links with latency/bandwidth, a synchronous
-// request/response discipline, and an adversary interposition point.
+// Simulated network: links with latency/bandwidth, an adversary
+// interposition point, and the server machine they deliver to.
 //
 // The paper's threat model (§2.1.2): "malicious parties entirely control
 // the network.  Attackers can intercept packets, tamper with them, and
@@ -7,30 +7,33 @@
 // powers; the LinkProfile reproduces the 100 Mbit/s switched Ethernet of
 // the evaluation (§4.1) with separate UDP-like and TCP-like profiles.
 //
-// Loss masking: real NFS/SFS transports retransmit on a timer, so a
-// dropped datagram delays an operation instead of failing it.  Roundtrip
-// implements that discipline — the same wire bytes are resent after an
-// exponentially backed-off timeout, up to RetryPolicy::max_transmissions;
-// only then does the caller observe kUnavailable.  Services are expected
-// to deduplicate redelivered requests (see rpc::Dispatcher and
-// sfs::ServerConnection).
-//
-// Discrete-event model: pipelined submissions flow through the clock's
+// One timing model: every request reaches a server through the clock's
 // EventQueue (src/sim/event.h).  Submit() schedules a message-arrival
 // event on the far host; the Host admits it (or queues it behind a
 // concurrency limit, or sheds it past the queue depth), runs the handler
 // in a clock measure frame, and schedules a completion event; the reply
 // then takes the downlink as a delivery event.  Nothing executes inline
 // inside Submit, which makes the server a genuinely serial (or
-// C-parallel) resource shared by every link pointed at it and makes
-// inline-execution timing bugs structurally impossible.
+// C-parallel) resource shared by every link pointed at it.  A
+// stop-and-wait exchange is the same engine with one message in flight.
+//
+// Loss masking: real NFS/SFS transports retransmit on a timer, so a
+// dropped datagram delays an operation instead of failing it.  Callers
+// resend the same wire bytes after an exponentially backed-off timeout
+// (RetryPolicy), up to RetryPolicy::max_transmissions; only then does the
+// caller observe kUnavailable.  The timer starts at send, and a deadline
+// that passes while the exchange is still in progress is re-armed rather
+// than resent (Link::InProgress).  rpc::Client and sfs::MountPoint run their
+// own per-call timers; Roundtrip() is the small stop-and-wait helper for
+// framings that are not RPC (handshakes, sfskey, the read-only dialect).
+// Services are expected to deduplicate redelivered requests (see
+// rpc::Dispatcher and sfs::ServerConnection).
 #ifndef SFS_SRC_SIM_NETWORK_H_
 #define SFS_SRC_SIM_NETWORK_H_
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -191,17 +194,19 @@ class Host {
 
   using ResponseFn = std::function<void(util::Result<util::Bytes>)>;
 
-  // Called at message-arrival-event time.  `respond` fires at the
-  // service-completion event with the handler's verdict; `shed` (may be
-  // null) fires instead, immediately, if the admission queue is full.
-  // `ctx` is the submitting client's span context: queue spans parent
-  // under it, and the handler executes with it as the ambient stack.
-  // `service` overrides the host's default handler for this arrival:
-  // per-connection protocol state (an rpc::Dispatcher's duplicate-
-  // request cache is keyed by the connection's seqnos) lives in the
-  // service, while the machine's slots and queue stay shared here.
+  // Called at message-arrival-event time.  `started` (may be null) fires
+  // when the request takes a service slot — at once, or when it leaves
+  // the admission queue; `respond` fires at the service-completion event
+  // with the handler's verdict.  A request shed because the queue is
+  // full fires neither.  `ctx` is the submitting client's span context:
+  // queue spans parent under it, and the handler executes with it as
+  // the ambient stack.  `service`
+  // overrides the host's default handler for this arrival: per-
+  // connection protocol state (an rpc::Dispatcher's duplicate-request
+  // cache is keyed by the connection's seqnos) lives in the service,
+  // while the machine's slots and queue stay shared here.
   void Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
-              std::function<void()> shed = nullptr, Service* service = nullptr);
+              std::function<void()> started = nullptr, Service* service = nullptr);
 
   Clock* clock() const { return clock_; }
   Service* service() const { return service_; }
@@ -217,6 +222,7 @@ class Host {
     util::Bytes request;
     obs::SpanContext ctx;
     ResponseFn respond;
+    std::function<void()> started;
     uint64_t arrive_ns = 0;
     Service* service = nullptr;  // Per-connection override; null = host default.
   };
@@ -243,9 +249,8 @@ class Host {
   obs::Gauge* g_in_service_;
 };
 
-// A bidirectional link to one service.  Roundtrip() charges virtual time
-// for both directions, runs the interposer chain, and masks transit loss
-// by retransmitting the same wire bytes on a backed-off timer.
+// A bidirectional link to one service: serial uplink and downlink wires
+// in front of a Host, with the interposer chain on both directions.
 class Link {
  public:
   // `registry` receives the aggregate link.* counters; nullptr selects
@@ -276,10 +281,15 @@ class Link {
   void set_retry_policy(RetryPolicy policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
+  // Stop-and-wait exchange for framings that are not RPC: Submit, then
+  // AwaitNext up to the retransmission deadline, resending the same
+  // bytes with RetryPolicy backoff (a deadline that passes while a copy
+  // is InProgress is re-armed instead).  Returns the first reply to any
+  // copy of this request (replies to earlier exchanges are discarded),
+  // the service's verdict, or kUnavailable once the retry budget is
+  // spent.
   util::Result<util::Bytes> Roundtrip(const util::Bytes& request);
 
-  // --- Pipelined mode -----------------------------------------------------
-  //
   // Submit() puts a request on the wire without blocking for the reply,
   // so several calls can share one round-trip of latency.  The uplink
   // and downlink are serial bandwidth resources (busy-until watermarks:
@@ -288,18 +298,20 @@ class Link {
   // beyond the uplink watermark happens as scheduled events: arrival,
   // handler completion, delivery.  A message the interposer drops
   // schedules no delivery: the caller's retransmission timer is the
-  // only recovery, exactly as with Roundtrip().
+  // only recovery.  The request is moved through to the host; only a
+  // duplicated leg takes a copy.
   //
   // Returns a token identifying the submission; the matching Delivery
   // carries it back (callers typically match on message content instead,
   // since duplicated/reordered replies can arrive under any token).
-  uint64_t Submit(const util::Bytes& request);
+  uint64_t Submit(util::Bytes request);
 
   // Runs the event loop until a delivery for THIS link is ready (it is
   // returned; the gaps to intervening events are charged per-event: link
   // transit to kLink, handler completions to their measured categories)
   // or the next event lies beyond `deadline_ns` — then time advances to
-  // the deadline (charged kWait, the retransmission-timer idle) and
+  // the deadline (EventQueue::AdvanceTo: idle time is kWait, a gap that
+  // some event is still running through keeps its own category) and
   // nullopt is returned.
   std::optional<Delivery> AwaitNext(uint64_t deadline_ns);
 
@@ -314,8 +326,18 @@ class Link {
   // True if a reply has arrived and not yet been consumed by AwaitNext.
   bool HasPendingDelivery() const { return !ready_.empty(); }
 
-  // Counts a client-driven retransmission (pipelined callers resend on
-  // their own timers; Roundtrip's internal retry loop counts itself).
+  // True while the original copy of submission `token` is making
+  // progress: on the uplink, in a service slot, or on the downlink.  A
+  // copy that was dropped or shed, or that waits in the host's admission
+  // queue, is not.  Retransmission timers recover loss and congestion,
+  // they do not race progress: a deadline that passes while a copy is in
+  // progress is re-armed for another RTO instead of resending, so a long
+  // transfer or a long commit never retransmits on a loss-free link,
+  // while a request stuck behind an overloaded server still does.
+  bool InProgress(uint64_t token) const { return in_progress_.count(token) != 0; }
+
+  // Counts a client-driven retransmission (callers resend on their own
+  // timers).
   void NoteRetransmission() {
     ++retransmissions_;
     m_retransmissions_->Increment();
@@ -333,32 +355,33 @@ class Link {
   uint64_t drops_observed() const { return drops_observed_; }
   // Requests the interposer delivered twice.
   uint64_t duplicates_delivered() const { return duplicates_delivered_; }
-  // In-flight span bookkeeping entries (bounded by in-flight tokens:
-  // entries are erased at delivery and on every drop/shed — a live
-  // token is never evicted).
-  size_t transit_info_size() const { return transit_info_.size(); }
 
   Clock* clock() const { return clock_; }
   Host* host() const { return host_; }
   const LinkProfile& profile() const { return profile_; }
 
  private:
-  void ChargeOneWay(size_t bytes, const char* span_name);
   // Wire occupancy (bandwidth) of one message, excluding propagation.
   uint64_t SerializationNs(size_t bytes) const;
   void CountMessage(size_t bytes);
   bool SpansEnabled() const;
-  // Charges the uplink watermark and schedules the arrival event.
-  void ScheduleRequestLeg(uint64_t token, const util::Bytes& wire_request,
-                          obs::SpanContext ctx, bool is_duplicate);
+  // Records one measured wire leg, [start_ns, now), all kLink, as a
+  // child of the submitter's context.
+  void RecordLegSpan(const char* name, uint64_t start_ns, size_t bytes,
+                     obs::SpanContext ctx, bool error = false);
+  // Charges the uplink watermark and schedules the arrival event, which
+  // records the leg's span and hands the request to the host.
+  void ScheduleRequestLeg(uint64_t token, util::Bytes wire_request, obs::SpanContext ctx,
+                          bool is_duplicate);
   // Service verdict in hand (at completion-event time): run the response
   // interposer, charge the downlink, schedule the delivery event.  Error
   // verdicts take the same downlink leg as success replies.
-  void CompleteResponse(uint64_t token, util::Result<util::Bytes> result);
-  void ScheduleResponseLeg(uint64_t token, util::Status status, util::Bytes response);
-  // Delivery-event time: record the transit span, then sink or queue.
+  void CompleteResponse(uint64_t token, util::Result<util::Bytes> result,
+                        obs::SpanContext ctx);
+  void ScheduleResponseLeg(uint64_t token, util::Status status, util::Bytes response,
+                           obs::SpanContext ctx);
+  // Delivery-event time: sink or queue.
   void Deliver(Delivery delivery);
-  void EraseTransitInfo(uint64_t token);
   // Schedules on the clock's queue, tracking the id for cancellation at
   // destruction (the event wrapper un-tracks itself on dispatch).
   void ScheduleEvent(uint64_t at_ns, obs::TimeCategory category,
@@ -371,8 +394,7 @@ class Link {
   std::unique_ptr<Host> owned_host_;
   Interposer* interposer_ = nullptr;
   RetryPolicy retry_policy_;
-  // Pipelined-mode state: replies delivered but not yet consumed, and
-  // busy-until watermarks for the two wire directions (the server's
+  // Replies delivered but not yet consumed, and busy-until watermarks for the two wire directions (the server's
   // occupancy lives in the Host).
   std::deque<Delivery> ready_;
   std::function<void(Delivery)> sink_;
@@ -384,18 +406,9 @@ class Link {
   uint64_t retransmissions_ = 0;
   uint64_t drops_observed_ = 0;
   uint64_t duplicates_delivered_ = 0;
-  // Pipelined-mode span bookkeeping: the ambient span and submit time of
-  // each in-flight token, so the delivery event can record a
-  // "link.transit" span parented into the submitter's trace.  Entries
-  // are erased exactly when the token dies — delivery, interposer drop,
-  // or server shed — never by size pruning (which used to evict live
-  // tokens at fleet scale and orphan their spans).
-  struct TransitInfo {
-    uint64_t trace_id = 0;
-    uint64_t parent_span_id = 0;
-    uint64_t submit_ns = 0;
-  };
-  std::map<uint64_t, TransitInfo> transit_info_;
+  // Submissions whose original copy is in progress (see InProgress);
+  // ordered so Roundtrip can ask about every copy of one exchange.
+  std::set<uint64_t> in_progress_;
   // Events this link scheduled and has not yet seen dispatch; cancelled
   // at destruction.
   std::set<uint64_t> outstanding_events_;

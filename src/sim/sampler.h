@@ -7,15 +7,19 @@
 //
 // Two properties worth spelling out:
 //
-//  - Sampler edges never perturb event *timing*.  An edge is a
-//    zero-duration handler scheduled at a timestamp at or before the
-//    next real event, so every completion, delivery and timer still
-//    fires at exactly the virtual time it would have without the
-//    sampler — committed BENCH baselines keep their real_time_s.
-//    What can shift slightly is the ledger *split*: the gap an edge
-//    lands inside is charged in two pieces (the pre-edge piece to
-//    kWait), so at most one event gap per window may read as wait
-//    instead of its own category (docs/OBSERVABILITY.md §8).
+//  - Sampler edges never perturb event timing, and they leave the
+//    ledger split alone.  An edge is a zero-duration handler scheduled
+//    at a timestamp at or before the next real event, so every
+//    completion, delivery and timer still fires at exactly the virtual
+//    time it would have without the sampler — committed BENCH baselines
+//    keep their real_time_s.  The part of a gap an edge bridges is
+//    charged as the live event whose gap it splits would charge it
+//    (GapAttribution::SplitNext), so link and server time stay link and
+//    server time; only a gap with no live event behind it is idle
+//    (kWait).  The split is exact whenever a handler completion's gap
+//    equals its measured service time, as in every stop-and-wait
+//    exchange; where other events already cut that gap, proportional
+//    rounding may move a nanosecond between categories.
 //
 //  - When the clock jumps past several edges in one Advance() (e.g. a
 //    workload's application-CPU phase), the pending edge dispatches
@@ -68,22 +72,6 @@ class TimelineSampler {
     timeline_->Finalize(clock_->now_ns(), cats.ns);
   }
 
-  // Edge delivery for scenarios that never pump the event queue: the
-  // stop-and-wait Link::Roundtrip path handles requests inline and
-  // advances the clock directly, so the recurring edge event would sit
-  // in the queue forever.  Poll() closes the window by hand once the
-  // clock has moved past the pending edge (same catch-up semantics as a
-  // late dispatch) and re-anchors the next edge at now.  Harmless to
-  // call from event-driven scenarios too; a no-op before the edge.
-  void Poll() {
-    if (armed_ && clock_->now_ns() >= next_edge_ns_) {
-      if (pending_ != EventQueue::kInvalidId) {
-        clock_->events()->Cancel(pending_);
-      }
-      OnEdge();
-    }
-  }
-
   bool armed() const { return armed_; }
 
   // Number of queue entries that are the sampler's own (0 or 1): lets
@@ -104,18 +92,14 @@ class TimelineSampler {
   }
 
   void ScheduleNext() {
-    // The bridged gap (if the edge is reached by an actual clock
-    // advance) is idle time by construction — nothing else was
-    // scheduled earlier — so kWait is the honest attribution.
-    next_edge_ns_ = clock_->now_ns() + timeline_->window_ns();
-    pending_ = clock_->events()->Schedule(next_edge_ns_, obs::TimeCategory::kWait,
+    pending_ = clock_->events()->Schedule(clock_->now_ns() + timeline_->window_ns(),
+                                          GapAttribution::SplitNext(),
                                           [this] { OnEdge(); });
   }
 
   Clock* clock_;
   obs::Timeline* timeline_;
   EventQueue::EventId pending_ = EventQueue::kInvalidId;
-  uint64_t next_edge_ns_ = 0;
   bool armed_ = false;
 };
 

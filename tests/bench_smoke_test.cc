@@ -72,8 +72,8 @@ TEST(BenchSmokeTest, Fig5ThroughputOrdering) {
 
 TEST(BenchSmokeTest, CleanRunReportsZeroRetransmissionsViaRegistry) {
   // The loss-masking machinery must be invisible on a clean link: the
-  // registry aggregates that the benchmarks report (link retransmissions
-  // + stale retries, duplicate-cache hits) all read zero.
+  // registry aggregates that the benchmarks report (link retransmissions,
+  // unmatched replies, duplicate-cache hits) all read zero.
   for (Config config : {Config::kNfsUdp, Config::kSfs}) {
     Testbed tb(config);
     std::string dir = tb.WorkDir();
@@ -85,7 +85,7 @@ TEST(BenchSmokeTest, CleanRunReportsZeroRetransmissionsViaRegistry) {
     EXPECT_EQ(tb.DrcHits(), 0u) << bench::ConfigName(config);
     EXPECT_EQ(tb.registry()->CounterValue("link.retransmissions"), 0u)
         << bench::ConfigName(config);
-    EXPECT_EQ(tb.registry()->CounterValue("rpc.client.stale_retries"), 0u)
+    EXPECT_EQ(tb.registry()->CounterValue("rpc.client.unmatched_replies"), 0u)
         << bench::ConfigName(config);
     EXPECT_EQ(tb.registry()->CounterValue("link.drops"), 0u) << bench::ConfigName(config);
   }

@@ -5,13 +5,13 @@
 // pins the Host admission pipeline (bounded queue, shedding, retransmit
 // recovery) and the sim::Link regressions fixed alongside it: error
 // verdicts that used to skip the downlink leg, duplicate deliveries that
-// used to ride the server for free, transit_info entries that used to be
-// size-pruned while their tokens were still in flight, and reorder-held
-// responses that used to vanish from the accounting at end of run.  A
-// differential test checks the event core against the inline watermark
-// model (Roundtrip) at window=1 — same timeline, same ledger, to the
-// nanosecond — and every scenario re-checks the ledger invariant: the
-// per-category totals sum exactly to now_ns().
+// used to ride the server for free, link spans of dropped or shed copies,
+// and reorder-held responses that used to vanish from the accounting at
+// end of run.  A differential test checks stop-and-wait traffic on the
+// event core against a closed form computed from the LinkProfile — same
+// timeline, same ledger, to the nanosecond — and every scenario
+// re-checks the ledger invariant: the per-category totals sum exactly to
+// now_ns().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -144,10 +144,10 @@ TEST(HostTest, BoundedQueueShedsAndRetransmissionRecovers) {
   ExpectLedgerBalanced(clock);
 }
 
-// --- Differential: event core vs the inline watermark model ---------------
+// --- Differential: event core vs the closed-form link model ---------------
 
-// A fixed-cost echo: the same 70 us of kCpu whether it runs inline
-// (Roundtrip) or in a measure frame at its service-start event.
+// A fixed-cost echo: the same kCpu charge for every request, measured in
+// a frame at its service-start event.
 class FixedCostEcho : public sim::Service {
  public:
   FixedCostEcho(sim::Clock* clock, uint64_t service_ns)
@@ -162,54 +162,109 @@ class FixedCostEcho : public sim::Service {
   uint64_t service_ns_;
 };
 
+// One wire leg of `bytes` on an idle link: propagation, per-message
+// overhead and serialization — LinkProfile arithmetic, nothing else.
+uint64_t LegNs(const sim::LinkProfile& profile, size_t bytes) {
+  return profile.latency_ns + profile.per_message_ns +
+         static_cast<uint64_t>(bytes) * 1'000'000'000 / profile.bytes_per_sec;
+}
+
+// XDR opaque: 4-byte length plus the body padded to a 4-byte boundary.
+size_t XdrOpaqueSize(size_t bytes) { return 4 + (bytes + 3) / 4 * 4; }
+
 TEST(DifferentialTest, EventCoreMatchesWatermarkModelAtWindowOne) {
-  // Stop-and-wait on a loss-free link is the one regime where the old
-  // inline model (charge uplink, run handler, charge downlink) was
-  // correct.  The event core must reproduce its timeline exactly:
-  // same elapsed time, same per-category ledger, for the same calls.
+  // Stop-and-wait on a loss-free link: each exchange is uplink leg, then
+  // service, then downlink leg, with nothing overlapping.  The event core
+  // must reproduce that closed form exactly: same elapsed time and same
+  // per-category ledger after every call.
   constexpr uint64_t kServiceNs = 70'000;
   constexpr int kCalls = 8;
+  const sim::LinkProfile profile = sim::LinkProfile::Udp();
 
-  sim::Clock inline_clock;
-  obs::Registry inline_registry;
-  FixedCostEcho inline_echo(&inline_clock, kServiceNs);
-  sim::Link inline_link(&inline_clock, sim::LinkProfile::Udp(), &inline_echo,
-                        &inline_registry);
+  sim::Clock clock;
+  obs::Registry registry;
+  FixedCostEcho echo(&clock, kServiceNs);
+  sim::Link link(&clock, profile, &echo, &registry);
 
-  sim::Clock event_clock;
-  obs::Registry event_registry;
-  FixedCostEcho event_echo(&event_clock, kServiceNs);
-  sim::Link event_link(&event_clock, sim::LinkProfile::Udp(), &event_echo,
-                       &event_registry);
-
+  uint64_t expect_now = 0;
+  uint64_t expect_link = 0;
+  uint64_t expect_cpu = 0;
+  uint64_t expect_bytes = 0;
   for (int i = 0; i < kCalls; ++i) {
-    const Bytes payload = BytesOf("differential " + std::to_string(i));
+    const Bytes payload = BytesOf("differential " + std::string(i * 97, 'x'));
 
-    auto inline_reply = inline_link.Roundtrip(payload);
-    ASSERT_TRUE(inline_reply.ok());
-    EXPECT_EQ(inline_reply.value(), payload);
-
-    const uint64_t token = event_link.Submit(payload);
-    auto delivery = event_link.AwaitNext(UINT64_MAX);
+    const uint64_t token = link.Submit(payload);
+    auto delivery = link.AwaitNext(UINT64_MAX);
     ASSERT_TRUE(delivery.has_value());
     EXPECT_EQ(delivery->token, token);
     ASSERT_TRUE(delivery->status.ok());
     EXPECT_EQ(delivery->response, payload);
 
-    EXPECT_EQ(event_clock.now_ns(), inline_clock.now_ns())
-        << "timelines diverged at call " << i;
+    const uint64_t legs = 2 * LegNs(profile, payload.size());
+    expect_link += legs;
+    expect_cpu += kServiceNs;
+    expect_now += legs + kServiceNs;
+    expect_bytes += 2 * payload.size();
+    EXPECT_EQ(clock.now_ns(), expect_now) << "timelines diverged at call " << i;
+    EXPECT_EQ(clock.charged_ns(TimeCategory::kLink), expect_link) << "call " << i;
+    EXPECT_EQ(clock.charged_ns(TimeCategory::kCpu), expect_cpu) << "call " << i;
   }
 
-  const sim::Clock::CategorySnapshot inline_ledger = inline_clock.categories();
-  const sim::Clock::CategorySnapshot event_ledger = event_clock.categories();
+  const sim::Clock::CategorySnapshot ledger = clock.categories();
   for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-    EXPECT_EQ(event_ledger.ns[i], inline_ledger.ns[i])
-        << "category " << obs::TimeCategoryName(static_cast<TimeCategory>(i));
+    const auto category = static_cast<TimeCategory>(i);
+    const uint64_t expected = category == TimeCategory::kLink  ? expect_link
+                              : category == TimeCategory::kCpu ? expect_cpu
+                                                               : 0;
+    EXPECT_EQ(ledger.ns[i], expected) << "category " << obs::TimeCategoryName(category);
   }
-  EXPECT_EQ(inline_link.messages_sent(), event_link.messages_sent());
-  EXPECT_EQ(inline_link.bytes_sent(), event_link.bytes_sent());
-  ExpectLedgerBalanced(inline_clock);
-  ExpectLedgerBalanced(event_clock);
+  EXPECT_EQ(link.messages_sent(), 2u * kCalls);
+  EXPECT_EQ(link.bytes_sent(), expect_bytes);
+  ExpectLedgerBalanced(clock);
+}
+
+TEST(DifferentialTest, RpcClientAtWindowOneMatchesTheClosedForm) {
+  // The same closed form one layer up: rpc::Client::Call at its default
+  // window of 1 is the event engine with one call in flight.  The wire
+  // carries the XDR call (xid, seqno, prog, proc, opaque args) and reply
+  // (xid, status, opaque results).
+  constexpr uint64_t kServiceNs = 70'000;
+  constexpr int kCalls = 8;
+  const sim::LinkProfile profile = sim::LinkProfile::Udp();
+
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock](uint32_t, const Bytes& args) {
+    clock.Advance(kServiceNs, TimeCategory::kCpu);
+    return util::Result<Bytes>(args);
+  });
+  sim::Link link(&clock, profile, &dispatcher, &registry);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+  ASSERT_EQ(client.window(), 1u);
+
+  uint64_t expect_now = 0;
+  uint64_t expect_link = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    const Bytes args = BytesOf("rpc differential " + std::string(i * 131, 'y'));
+    auto reply = client.Call(1, args);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value(), args);
+
+    const uint64_t legs = LegNs(profile, 16 + XdrOpaqueSize(args.size())) +
+                          LegNs(profile, 8 + XdrOpaqueSize(args.size()));
+    expect_link += legs;
+    expect_now += legs + kServiceNs;
+    EXPECT_EQ(clock.now_ns(), expect_now) << "timelines diverged at call " << i;
+    EXPECT_EQ(clock.charged_ns(TimeCategory::kLink), expect_link) << "call " << i;
+    EXPECT_EQ(clock.charged_ns(TimeCategory::kCpu), kServiceNs * (i + 1)) << "call " << i;
+    EXPECT_EQ(clock.charged_ns(TimeCategory::kWait), 0u) << "call " << i;
+  }
+  EXPECT_EQ(link.messages_sent(), 2u * kCalls);
+  EXPECT_EQ(client.in_flight(), 0u);
+  EXPECT_EQ(clock.events()->size(), 0u) << "a finished exchange leaves no event behind";
+  ExpectLedgerBalanced(clock);
 }
 
 // --- Link timing regressions ----------------------------------------------
@@ -313,59 +368,99 @@ TEST(LinkTimingTest, DuplicateDeliveryOccupiesTheSerialServer) {
       << "the duplicate must hold the serial server for a full service time";
 }
 
-// --- transit_info_ lifetime ------------------------------------------------
+// --- Retransmission timers: loss and congestion, not slowness ---------------
 
-// Drops every request on the floor.
-class DropAllRequests : public sim::Interposer {
- public:
-  util::Result<Bytes> OnRequest(Bytes) override {
-    return util::Unavailable("black hole");
-  }
-};
-
-TEST(TransitInfoTest, EntriesLiveExactlyAsLongAsTheirTokens) {
-  // Regression: transit_info_ was size-capped, so a fleet-scale burst
-  // evicted live tokens and orphaned their spans.  Entries must survive
-  // any number of in-flight tokens and be erased exactly at delivery,
-  // drop, or shed — never by pruning.
+TEST(RetransmitTimerTest, SlowExchangesOnALossFreeLinkNeverRetransmit) {
+  // A 700 ms service (a long commit) and a 4 MB request (335 ms on the
+  // 100 Mbit wire) both outlast the 200 ms RTO.  Their deadlines pass
+  // while the exchange is in progress, so the timers re-arm instead of
+  // resending, and the ledger keeps the time where it was spent.
+  constexpr uint64_t kServiceNs = 700'000'000;
   sim::Clock clock;
   obs::Registry registry;
-  registry.spans().Enable(
-      [&clock] { return clock.now_ns(); },
-      [&clock](uint64_t out[obs::kTimeCategoryCount]) {
-        const sim::Clock::CategorySnapshot charged = clock.categories();
-        for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-          out[i] = charged.ns[i];
-        }
-      });
-  FixedCostEcho echo(&clock, 10'000);
-  sim::Link link(&clock, sim::LinkProfile::Udp(), &echo, &registry);
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock](uint32_t, const Bytes& args) {
+    clock.Advance(kServiceNs, TimeCategory::kDisk);
+    return util::Result<Bytes>(Bytes(args.size() > 16 ? 16 : args.size(), 0));
+  });
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
 
-  // Far more in-flight tokens than the old cap tolerated: all live, all
-  // tracked.
-  constexpr uint64_t kInFlight = 512;
-  for (uint64_t i = 0; i < kInFlight; ++i) {
-    link.Submit(BytesOf("burst " + std::to_string(i)));
-  }
-  EXPECT_EQ(link.transit_info_size(), kInFlight)
-      << "live tokens must never be evicted";
-  for (uint64_t i = 0; i < kInFlight; ++i) {
-    auto delivery = link.AwaitNext(UINT64_MAX);
-    ASSERT_TRUE(delivery.has_value());
-  }
-  EXPECT_EQ(link.transit_info_size(), 0u) << "delivery erases the entry";
+  ASSERT_TRUE(client.Call(1, BytesOf("commit")).ok());
+  ASSERT_TRUE(client.Call(1, Bytes(4 << 20, 7)).ok());
+  EXPECT_EQ(link.retransmissions(), 0u);
+  EXPECT_EQ(client.retransmissions(), 0u);
+  EXPECT_EQ(link.messages_sent(), 4u);
+  EXPECT_EQ(clock.charged_ns(TimeCategory::kDisk), 2 * kServiceNs);
+  EXPECT_EQ(clock.charged_ns(TimeCategory::kWait), 0u);
 
-  // A request dropped in transit dies with its bookkeeping.
-  DropAllRequests black_hole;
-  link.set_interposer(&black_hole);
-  link.Submit(BytesOf("doomed"));
-  EXPECT_EQ(link.transit_info_size(), 0u) << "drop erases the entry";
-  EXPECT_EQ(link.drops_observed(), 1u);
-  link.set_interposer(nullptr);
+  // The stop-and-wait helper for non-RPC framings follows the same rule.
+  FixedCostEcho slow_echo(&clock, kServiceNs);
+  sim::Link helper_link(&clock, sim::LinkProfile::Tcp(), &slow_echo, &registry);
+  auto reply = helper_link.Roundtrip(Bytes(4 << 20, 1));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->size(), 4u << 20);
+  EXPECT_EQ(helper_link.retransmissions(), 0u);
+  EXPECT_EQ(helper_link.messages_sent(), 2u);
+  EXPECT_EQ(clock.charged_ns(TimeCategory::kWait), 0u);
   ExpectLedgerBalanced(clock);
 }
 
-TEST(TransitInfoTest, ShedArrivalsPruneTheirEntries) {
+TEST(RetransmitTimerTest, RequestsQueuedBehindASlowServerStillRetransmit) {
+  // Congestion is not progress: a request waiting in the admission queue
+  // behind a 700 ms job is resent when its timer expires (the server's
+  // DRC answers the copy), while the job being served is not.
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock](uint32_t proc, const Bytes& args) {
+    clock.Advance(proc == 1 ? 700'000'000 : 10'000, TimeCategory::kCpu);
+    return util::Result<Bytes>(args);
+  });
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+  client.set_window(2);
+
+  int completions = 0;
+  auto done = [&completions](util::Result<Bytes> reply) {
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    ++completions;
+  };
+  client.CallAsync(1, BytesOf("slow"), done);
+  client.CallAsync(2, BytesOf("queued"), done);
+  client.Drain();
+  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(registry.CounterValue("rpc.client.PROG9.1.retransmits"), 0u);
+  EXPECT_GT(registry.CounterValue("rpc.client.PROG9.2.retransmits"), 0u);
+  EXPECT_GT(dispatcher.drc_hits(), 0u);
+  ExpectLedgerBalanced(clock);
+}
+
+// --- Link leg spans ---------------------------------------------------------
+
+// Drops the first `n` requests on the floor.
+class DropFirstRequests : public sim::Interposer {
+ public:
+  explicit DropFirstRequests(int n) : left_(n) {}
+  util::Result<Bytes> OnRequest(Bytes request) override {
+    if (left_ > 0) {
+      --left_;
+      return util::Unavailable("black hole");
+    }
+    return request;
+  }
+
+ private:
+  int left_;
+};
+
+TEST(LinkSpanTest, LegSpansAreMeasuredAndNeverOrphaned) {
+  // Each wire leg is a measured span: all of its time is kLink, and it
+  // parents under the call that submitted it — also for copies the
+  // interposer dropped (no span at all) or the host shed (a send leg
+  // whose call still completes through its retransmission).
   sim::Clock clock;
   obs::Registry registry;
   registry.spans().Enable(
@@ -376,23 +471,60 @@ TEST(TransitInfoTest, ShedArrivalsPruneTheirEntries) {
           out[i] = charged.ns[i];
         }
       });
-  FixedCostEcho echo(&clock, 500'000);
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock](uint32_t, const Bytes& args) {
+    clock.Advance(500'000, TimeCategory::kCpu);
+    return util::Result<Bytes>(args);
+  });
   sim::Host::Options options;
   options.concurrency = 1;
   options.queue_depth = 0;  // No queue: anything beyond the slot is shed.
-  sim::Host host(&clock, &echo, &registry, options);
+  sim::Host host(&clock, &dispatcher, &registry, options);
   sim::Link link(&clock, sim::LinkProfile::Udp(), &host, &registry);
+  DropFirstRequests drop_first(2);
+  link.set_interposer(&drop_first);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+  client.set_window(4);
 
-  // Three near-simultaneous arrivals: one serves, two are shed.
-  link.Submit(BytesOf("request 1"));
-  link.Submit(BytesOf("request 2"));
-  link.Submit(BytesOf("request 3"));
-  auto delivery = link.AwaitNext(UINT64_MAX);
-  ASSERT_TRUE(delivery.has_value());
-  clock.events()->RunUntil(UINT64_MAX);  // Drain any remaining events.
-  EXPECT_EQ(host.shed_count(), 2u);
-  EXPECT_EQ(link.transit_info_size(), 0u)
-      << "a shed token's bookkeeping dies at the admission decision";
+  constexpr int kCalls = 6;
+  int completions = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    client.CallAsync(1, BytesOf("op " + std::to_string(i)),
+                     [&completions](util::Result<Bytes> reply) {
+                       EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+                       ++completions;
+                     });
+  }
+  client.Drain();
+  clock.events()->RunUntil(UINT64_MAX);
+  EXPECT_EQ(completions, kCalls);
+  EXPECT_EQ(link.drops_observed(), 2u);
+  EXPECT_GT(host.shed_count(), 0u);
+
+  const std::vector<obs::Span> spans = registry.spans().TakeFinished();
+  std::map<uint64_t, const obs::Span*> by_id;
+  for (const obs::Span& span : spans) {
+    by_id[span.id] = &span;
+  }
+  size_t sends = 0;
+  size_t recvs = 0;
+  for (const obs::Span& span : spans) {
+    if (std::string(span.layer) != "sim.link") {
+      continue;
+    }
+    SCOPED_TRACE(span.name);
+    sends += span.name == "link.send";
+    recvs += span.name == "link.recv";
+    EXPECT_GT(span.duration_ns(), 0u);
+    EXPECT_EQ(span.cat_ns[static_cast<size_t>(TimeCategory::kLink)], span.duration_ns());
+    auto parent = by_id.find(span.parent_id);
+    ASSERT_NE(parent, by_id.end()) << "orphaned link span";
+    EXPECT_EQ(parent->second->name, "rpc.call.1");
+  }
+  // Every copy that reached the host had a send leg; drops had none.
+  EXPECT_EQ(sends, host.arrivals());
+  EXPECT_EQ(recvs, static_cast<size_t>(kCalls));
   ExpectLedgerBalanced(clock);
 }
 

@@ -103,11 +103,12 @@ class FaultTest : public ::testing::Test {
 
 TEST_F(FaultTest, CleanRunHasZeroRetransmissions) {
   // No interposer: the retry machinery must be invisible on the clean
-  // path — no retransmissions, no duplicate-cache hits, no stale retries.
+  // path — no retransmissions, no duplicate-cache hits, no unmatched
+  // replies.
   SfsClient::MountPoint* mount = RunWorkload(8);
   ASSERT_NE(mount, nullptr);
   EXPECT_EQ(mount->link()->retransmissions(), 0u);
-  EXPECT_EQ(mount->stale_retries(), 0u);
+  EXPECT_EQ(mount->unmatched_replies(), 0u);
   EXPECT_EQ(server_->drc_hits(), 0u);
   EXPECT_EQ(server_->fs()->creates_applied(), 8u);
   EXPECT_EQ(server_->fs()->removes_applied(), 4u);

@@ -419,7 +419,8 @@ TEST_F(ObsTest, LossyRunShowsExactlyOnceDeliveryInTrace) {
   EXPECT_EQ(registry_.CounterValue("server.drc_hits"), server_->drc_hits());
   EXPECT_EQ(mount->link()->retransmissions(),
             registry_.CounterValue("link.retransmissions"));
-  EXPECT_EQ(mount->stale_retries(), registry_.CounterValue("rpc.client.stale_retries"));
+  EXPECT_EQ(mount->unmatched_replies(),
+            registry_.CounterValue("rpc.client.unmatched_replies"));
 }
 
 // --- Pipelined channel: exactly-once at every swept window size --------------
@@ -663,13 +664,13 @@ TEST(SpanCollectorTest, RecordClosedAssignsIdsAndCapacityDropsCount) {
   uint64_t root = spans.Begin("op", "test");
   obs::SpanContext ctx = spans.Find(root)->context();
 
-  // A pipelined link transit is measured externally and recorded whole.
-  obs::Span transit;
-  transit.name = "link.transit";
-  transit.layer = "sim.link";
-  transit.start_ns = 1;
-  transit.end_ns = 4;
-  spans.RecordClosed(transit, ctx);
+  // A link leg is measured externally and recorded whole.
+  obs::Span leg;
+  leg.name = "link.send";
+  leg.layer = "sim.link";
+  leg.start_ns = 1;
+  leg.end_ns = 4;
+  spans.RecordClosed(leg, ctx);
   ASSERT_EQ(spans.finished().size(), 1u);
   EXPECT_EQ(spans.finished()[0].parent_id, root);
   EXPECT_EQ(spans.finished()[0].trace_id, root);

@@ -388,15 +388,16 @@ TEST_F(SfsTest, ReplayedChannelMessagesAreDeduplicatedNotReexecuted) {
   // The attacker substitutes the recorded earlier request for this one.
   // The server recognizes the old wire seqno and replays its cached
   // reply without re-executing anything or advancing either keystream;
-  // the client rejects that stale reply (sealed at an earlier stream
-  // position, so the MAC cannot verify), retransmits, and the genuine
-  // CREATE then executes — exactly once.
+  // the client discards that stale reply (it echoes a seqno no call is
+  // waiting for), its retransmission timer resends the CREATE, and the
+  // genuine CREATE then executes — exactly once.
   nfs::FileHandle fh;
   Stat s = (*mount)->fs()->Create((*mount)->root_fh(), "replayed-create",
                                   Credentials::User(0), nfs::Sattr{}, &fh, &attr);
   EXPECT_EQ(s, Stat::kOk);
   EXPECT_GT(server_->drc_hits(), 0u);
-  EXPECT_GT((*mount)->stale_retries(), 0u);
+  EXPECT_GT((*mount)->unmatched_replies(), 0u);
+  EXPECT_GT((*mount)->link()->retransmissions(), 0u);
   EXPECT_EQ(server_->fs()->creates_applied(), creates_before + 1);
 }
 

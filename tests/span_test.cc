@@ -5,8 +5,7 @@
 // profile).  The key property of the single-threaded simulation is
 // that every nanosecond the clock advances is charged to exactly one
 // TimeCategory, so any span's category buckets must sum exactly to its
-// duration; link.transit spans are the one deliberate exception (they
-// are interval markers recorded after the fact, docs/OBSERVABILITY.md).
+// duration — measured link legs included, with no exceptions.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -145,20 +144,17 @@ void CheckSpanInvariants(const std::vector<obs::Span>& spans, bool strict_nestin
     SCOPED_TRACE(span.name + " id=" + std::to_string(span.id));
     EXPECT_GE(span.end_ns, span.start_ns);
 
-    // Exact time attribution: buckets sum to duration for every
-    // measured span; transit markers carry no buckets at all.
-    if (span.name == "link.transit") {
-      EXPECT_EQ(span.CategoryTotalNs(), 0u);
-    } else {
-      EXPECT_EQ(span.CategoryTotalNs(), span.duration_ns());
-    }
+    // Exact time attribution: buckets sum to duration for every span.
+    EXPECT_EQ(span.CategoryTotalNs(), span.duration_ns());
 
     if (span.parent_id == 0) {
       EXPECT_EQ(span.trace_id, span.id) << "root must root its own trace";
       continue;
     }
 
-    // Parent chain: present, same trace, acyclic, ends at a root.
+    // Parent chain: present, same trace, acyclic, ends at a root.  A
+    // copy the lossy link dropped records no span at all, so no link
+    // leg may dangle either.
     auto parent_it = by_id.find(span.parent_id);
     ASSERT_NE(parent_it, by_id.end()) << "dangling parent " << span.parent_id;
     const obs::Span* parent = parent_it->second;
@@ -173,7 +169,7 @@ void CheckSpanInvariants(const std::vector<obs::Span>& spans, bool strict_nestin
     }
     EXPECT_EQ(node->id, span.trace_id) << "parent chain must end at the trace's root";
 
-    if (strict_nesting || (!span.drc_hit && span.name != "link.transit")) {
+    if (strict_nesting || !span.drc_hit) {
       EXPECT_GE(span.start_ns, parent->start_ns);
       EXPECT_LE(span.end_ns, parent->end_ns)
           << "child " << span.name << " escapes parent " << parent->name;

@@ -358,29 +358,88 @@ TEST(SamplerTest, EdgesNeverMoveRealEvents) {
   }
 }
 
-TEST(SamplerTest, PollClosesWindowsWithoutAnEventPump) {
+TEST(SamplerTest, OverdueEdgeClosesOneCatchUpWindowAtTheNextPump) {
   sim::Clock clock;
   obs::Registry registry;
   obs::Timeline timeline(&registry);  // 10 ms windows.
   sim::TimelineSampler sampler(&clock, &timeline);
   sampler.Start();
 
-  // The stop-and-wait path advances the clock directly and never calls
-  // RunOne; Poll() must deliver the pending edge by hand.
-  clock.Advance(4'000'000, TimeCategory::kCpu);
-  sampler.Poll();  // Before the edge: no window yet.
-  EXPECT_TRUE(timeline.windows().empty());
-  clock.Advance(8'000'000, TimeCategory::kCpu);
-  sampler.Poll();  // Past the 10 ms edge: closes [0, 12 ms).
+  // Client-side work advances the clock directly, past the pending
+  // edge; the edge dispatches at the next pump with no clock advance.
+  clock.Advance(12'000'000, TimeCategory::kCpu);
+  EXPECT_TRUE(timeline.windows().empty()) << "nothing pumped yet";
+  ASSERT_TRUE(clock.events()->RunOne());
   ASSERT_EQ(timeline.windows().size(), 1u);
   EXPECT_EQ(timeline.windows()[0].end_ns, 12'000'000u);
   clock.Advance(35'000'000, TimeCategory::kDisk);
-  sampler.Poll();  // One catch-up window for the whole jump.
+  ASSERT_TRUE(clock.events()->RunOne());  // One catch-up window for the jump.
   ASSERT_EQ(timeline.windows().size(), 2u);
   EXPECT_EQ(timeline.windows()[1].begin_ns, 12'000'000u);
   EXPECT_EQ(timeline.windows()[1].end_ns, 47'000'000u);
+  EXPECT_EQ(clock.now_ns(), 47'000'000u) << "late edges never move the clock";
   sampler.Finalize();
   EXPECT_EQ(timeline.windows().size(), 2u);  // Nothing new to close.
+}
+
+// Stop-and-wait RPCs against a server whose service time mixes CPU and
+// disk.  Returns the ledger after `calls` calls, with a sampler of
+// `window_ns` attached (0 = none).
+sim::Clock::CategorySnapshot RunStopAndWait(uint64_t window_ns, int calls,
+                                            size_t* windows_closed) {
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock](uint32_t, const Bytes& args) {
+    clock.Advance(300'001, TimeCategory::kCpu);
+    clock.Advance(1'234'567, TimeCategory::kDisk);
+    return util::Result<Bytes>(args);
+  });
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+
+  obs::Timeline::Options options;
+  if (window_ns != 0) {
+    options.window_ns = window_ns;
+  }
+  obs::Timeline timeline(&registry, options);
+  sim::TimelineSampler sampler(&clock, &timeline);
+  if (window_ns != 0) {
+    sampler.Start();
+  }
+  for (int i = 0; i < calls; ++i) {
+    auto reply = client.Call(1, BytesOf("stop and wait " + std::string(i * 211, 'z')));
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    clock.Advance(150'000, TimeCategory::kApp);  // Client think time.
+  }
+  if (window_ns != 0) {
+    sampler.Finalize();
+  }
+  *windows_closed = timeline.windows().size();
+  clock.ExportTimeCounters(&registry);
+  EXPECT_EQ(registry.CounterValue("time.wait_ns"), 0u);
+  return clock.categories();
+}
+
+TEST(SamplerTest, EdgesInsideStopAndWaitCallsLeaveTheLedgerAlone) {
+  // A 1 ms sampler lands edges inside link legs and service gaps on
+  // every call.  The part of a gap before an edge belongs to the event
+  // whose gap it splits — link time stays link, disk stays disk — so the
+  // run has no wait time and the same ledger as without a sampler.
+  constexpr int kCalls = 40;
+  size_t unsampled_windows = 0;
+  size_t sampled_windows = 0;
+  const sim::Clock::CategorySnapshot plain = RunStopAndWait(0, kCalls, &unsampled_windows);
+  const sim::Clock::CategorySnapshot sampled =
+      RunStopAndWait(1'000'000, kCalls, &sampled_windows);
+  EXPECT_EQ(unsampled_windows, 0u);
+  EXPECT_GT(sampled_windows, static_cast<size_t>(kCalls)) << "edges must land mid-call";
+  for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
+    EXPECT_EQ(sampled.ns[i], plain.ns[i])
+        << "category " << obs::TimeCategoryName(static_cast<TimeCategory>(i));
+  }
+  EXPECT_EQ(sampled.ns[static_cast<size_t>(TimeCategory::kWait)], 0u);
 }
 
 // --- Episode detection against a real bounded-queue host -------------------
@@ -412,13 +471,18 @@ HostRunResult RunHostScenario(bool overload_burst) {
   rpc::Client client(&transport, 9, &registry);
 
   // One whole phase per window keeps the qualifying windows of a burst
-  // consecutive even across retransmission-timer lulls.
+  // consecutive even across retransmission-timer lulls.  Between phases
+  // the client idles until the next window edge, so each phase starts a
+  // fresh window.
   obs::Timeline::Options timeline_options;
   timeline_options.window_ns = 1'000'000'000;
   timeline_options.overload_min_windows = 1;
   obs::Timeline timeline(&registry, timeline_options);
   sim::TimelineSampler sampler(&clock, &timeline);
   sampler.Start();
+  auto idle_to_next_edge = [&] {
+    clock.events()->RunUntil(clock.now_ns() + timeline_options.window_ns);
+  };
 
   auto run_calls = [&](uint64_t calls) {
     uint64_t completions = 0;
@@ -438,7 +502,7 @@ HostRunResult RunHostScenario(bool overload_burst) {
   client.set_window(1);
   run_calls(4);
   EXPECT_EQ(registry.CounterValue("server.shed"), 0u);
-  sampler.Poll();  // Close out phase A's window before the burst.
+  idle_to_next_edge();  // Close out phase A's window before the burst.
 
   result.burst_begin_ns = clock.now_ns();
   if (overload_burst) {
@@ -449,7 +513,7 @@ HostRunResult RunHostScenario(bool overload_burst) {
     EXPECT_GT(registry.CounterValue("server.shed"), 0u);
   }
   result.burst_end_ns = clock.now_ns();
-  sampler.Poll();
+  idle_to_next_edge();
 
   // Phase C: sequential again; clean.
   client.set_window(1);
