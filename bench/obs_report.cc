@@ -3,12 +3,16 @@
 // as JSON — per-procedure latency histograms, byte counters, and the
 // link/crypto/disk/CPU time split (docs/OBSERVABILITY.md).
 //
-// Usage: obs_report [--text] [--timeline]
+// Usage: obs_report [--text] [--timeline] [--bench_json_dir=<dir>]
+//                   [--sfs_cost_model=<profile>]
 //   --text      human-readable SnapshotText() instead of JSON, with a
 //               gauge section and a trace-ring footer.
 //   --timeline  append the windowed telemetry timeline (virtual-time
 //               tracks + episode annotations) for each configuration;
 //               implies the text rendering for the timeline itself.
+//   --bench_json_dir, --sfs_cost_model  as for every bench binary: where
+//               BENCH_obs_report.json goes (default ".") and which cost
+//               model the testbeds charge.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -18,21 +22,26 @@
 int main(int argc, char** argv) {
   bool text = false;
   bool timeline = false;
+  std::string json_dir = ".";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--text") == 0) {
       text = true;
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
       timeline = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--text] [--timeline]\n", argv[0]);
+    } else if (!bench::ConsumeBenchFlag(argv[i], &json_dir)) {
+      std::fprintf(stderr,
+                   "usage: %s [--text] [--timeline] [--bench_json_dir=<dir>] "
+                   "[--sfs_cost_model=<profile>]\n",
+                   argv[0]);
       return 2;
     }
   }
 
   if (!text && !timeline) {
     bench::BenchReport report("obs_report");
+    report.set_profile(bench::ActiveCostModel().profile);
     std::fputs(bench::ObsReportJson(&report).c_str(), stdout);
-    report.WriteTo();
+    report.WriteTo(json_dir);
     return 0;
   }
   for (bench::Config config :

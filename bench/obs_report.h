@@ -326,25 +326,35 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   BenchReport* report_;
 };
 
+// Consumes the two flags every bench binary shares: --bench_json_dir=<dir>
+// picks the directory BENCH_<name>.json is written to, and
+// --sfs_cost_model=<profile> selects the cost model ("p3-550" or
+// "calibrated") by setting SFS_COST_MODEL before the first testbed is
+// built.  Returns false, consuming nothing, for any other argument.
+inline bool ConsumeBenchFlag(const char* arg, std::string* out_dir) {
+  constexpr const char kDirFlag[] = "--bench_json_dir=";
+  constexpr const char kCostFlag[] = "--sfs_cost_model=";
+  if (std::strncmp(arg, kDirFlag, sizeof(kDirFlag) - 1) == 0) {
+    *out_dir = arg + sizeof(kDirFlag) - 1;
+    return true;
+  }
+  if (std::strncmp(arg, kCostFlag, sizeof(kCostFlag) - 1) == 0) {
+    setenv("SFS_COST_MODEL", arg + sizeof(kCostFlag) - 1, /*overwrite=*/1);
+    return true;
+  }
+  return false;
+}
+
 // Drop-in replacement for BENCHMARK_MAIN(): runs the registered
 // benchmarks with console output, then writes BENCH_<bench_name>.json.
-// Two extra flags are stripped before google-benchmark sees the
-// argument list: --bench_json_dir=<dir> picks the output directory
-// (default "."), and --sfs_cost_model=<profile> selects the cost model
-// ("p3-550" or "calibrated") by setting SFS_COST_MODEL before the
-// first testbed is built.
+// The ConsumeBenchFlag flags are stripped before google-benchmark sees
+// the argument list.
 inline int BenchJsonMain(int argc, char** argv, const char* bench_name) {
   std::string out_dir = ".";
   std::vector<char*> pass;
   pass.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    constexpr const char kDirFlag[] = "--bench_json_dir=";
-    constexpr const char kCostFlag[] = "--sfs_cost_model=";
-    if (std::strncmp(argv[i], kDirFlag, sizeof(kDirFlag) - 1) == 0) {
-      out_dir = argv[i] + sizeof(kDirFlag) - 1;
-    } else if (std::strncmp(argv[i], kCostFlag, sizeof(kCostFlag) - 1) == 0) {
-      setenv("SFS_COST_MODEL", argv[i] + sizeof(kCostFlag) - 1, /*overwrite=*/1);
-    } else {
+    if (!ConsumeBenchFlag(argv[i], &out_dir)) {
       pass.push_back(argv[i]);
     }
   }

@@ -3,6 +3,36 @@
 #include <cassert>
 
 namespace crypto {
+namespace {
+
+// The PRGA over len bytes.  `data` may alias the cipher's own state as far
+// as the compiler knows, so the indices and the S-box pointer live in
+// locals for the whole loop rather than being reloaded and stored through
+// the object every byte.  kXor chooses encrypt-in-place over writing raw
+// keystream.
+template <bool kXor>
+inline void Generate(uint8_t* s, uint8_t* i_state, uint8_t* j_state, uint8_t* data, size_t len) {
+  uint8_t i = *i_state;
+  uint8_t j = *j_state;
+  for (size_t k = 0; k < len; ++k) {
+    i = static_cast<uint8_t>(i + 1);
+    const uint8_t si = s[i];
+    j = static_cast<uint8_t>(j + si);
+    const uint8_t sj = s[j];
+    s[i] = sj;
+    s[j] = si;
+    const uint8_t key = s[static_cast<uint8_t>(si + sj)];
+    if constexpr (kXor) {
+      data[k] ^= key;
+    } else {
+      data[k] = key;
+    }
+  }
+  *i_state = i;
+  *j_state = j;
+}
+
+}  // namespace
 
 Arc4::Arc4(const util::Bytes& key) : i_(0), j_(0) {
   assert(!key.empty() && key.size() <= 256);
@@ -41,16 +71,12 @@ uint8_t Arc4::NextByte() {
 
 util::Bytes Arc4::NextBytes(size_t len) {
   util::Bytes out(len);
-  for (size_t k = 0; k < len; ++k) {
-    out[k] = NextByte();
-  }
+  NextBytes(out.data(), len);
   return out;
 }
 
-void Arc4::Crypt(uint8_t* data, size_t len) {
-  for (size_t k = 0; k < len; ++k) {
-    data[k] ^= NextByte();
-  }
-}
+void Arc4::NextBytes(uint8_t* out, size_t len) { Generate<false>(s_, &i_, &j_, out, len); }
+
+void Arc4::Crypt(uint8_t* data, size_t len) { Generate<true>(s_, &i_, &j_, data, len); }
 
 }  // namespace crypto

@@ -27,8 +27,10 @@ class Arc4 {
   // Next keystream byte.
   uint8_t NextByte();
 
-  // Fills out[0..len) with keystream.
+  // Returns the next len keystream bytes.
   util::Bytes NextBytes(size_t len);
+  // Writes the next len keystream bytes to out[0..len).
+  void NextBytes(uint8_t* out, size_t len);
 
   // XORs data in place with the keystream (encrypt == decrypt).
   void Crypt(uint8_t* data, size_t len);

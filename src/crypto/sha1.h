@@ -31,6 +31,8 @@ class Sha1 {
   // Finalizes and returns the 20-byte digest.  The object may not be
   // updated afterwards; construct a new one for a new message.
   util::Bytes Digest();
+  // Same, written to out[0..kSha1DigestSize) with no allocation.
+  void Digest(uint8_t out[kSha1DigestSize]);
 
  private:
   void ProcessBlock(const uint8_t block[kSha1BlockSize]);
@@ -50,6 +52,10 @@ util::Bytes Sha1Digest(const std::string& data);
 // re-keys it for every RPC with bytes pulled from the ARC4 stream
 // (paper §3.1.3).
 util::Bytes HmacSha1(const util::Bytes& key, const util::Bytes& message);
+// Same, over raw buffers and with no allocation: the channel MACs a
+// prefix of its frame buffer in place.
+void HmacSha1(const uint8_t* key, size_t key_len, const uint8_t* message, size_t len,
+              uint8_t out[kSha1DigestSize]);
 
 }  // namespace crypto
 

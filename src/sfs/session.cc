@@ -10,24 +10,35 @@ constexpr size_t kKeyHalfSize = 20;
 constexpr size_t kMacKeySize = 32;
 constexpr size_t kMacSize = crypto::kSha1DigestSize;
 
+// XDR pads opaque data to a multiple of four bytes.
+constexpr size_t PaddedLength(size_t len) { return (len + 3) & ~size_t{3}; }
+
 }  // namespace
 
 ChannelCipher::ChannelCipher(const util::Bytes& session_key) : stream_(session_key) {}
 
+// Wire frame: length (4 bytes, big-endian) || plaintext || XDR zero pad to
+// a word || MAC, all encrypted.  The MAC covers everything before it.
 util::Bytes ChannelCipher::Seal(const util::Bytes& plaintext) {
   // 32 bytes of keystream re-key the MAC for this message and are never
   // used for encryption (paper §3.1.3).
-  util::Bytes mac_key = stream_.NextBytes(kMacKeySize);
+  uint8_t mac_key[kMacKeySize];
+  stream_.NextBytes(mac_key, kMacKeySize);
 
-  xdr::Encoder body;
-  body.PutUint32(static_cast<uint32_t>(plaintext.size()));
-  body.PutFixedOpaque(plaintext);
-  util::Bytes framed = body.Take();
+  const uint32_t len = static_cast<uint32_t>(plaintext.size());
+  const size_t framed_len = 4 + PaddedLength(plaintext.size());
+  util::Bytes sealed;
+  sealed.reserve(framed_len + kMacSize);
+  sealed.push_back(static_cast<uint8_t>(len >> 24));
+  sealed.push_back(static_cast<uint8_t>(len >> 16));
+  sealed.push_back(static_cast<uint8_t>(len >> 8));
+  sealed.push_back(static_cast<uint8_t>(len));
+  sealed.insert(sealed.end(), plaintext.begin(), plaintext.end());
+  sealed.resize(framed_len + kMacSize);  // Zero pad, then room for the MAC.
 
-  util::Bytes mac = crypto::HmacSha1(mac_key, framed);
-  util::Append(&framed, mac);
-  stream_.Crypt(&framed);  // Length, message, and MAC all get encrypted.
-  return framed;
+  crypto::HmacSha1(mac_key, kMacKeySize, sealed.data(), framed_len, sealed.data() + framed_len);
+  stream_.Crypt(&sealed);  // Length, message, and MAC all get encrypted.
+  return sealed;
 }
 
 util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
@@ -43,25 +54,31 @@ util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
   if (sealed.size() < 4 + kMacSize) {
     return fail("sealed message too short");
   }
-  util::Bytes mac_key = stream_.NextBytes(kMacKeySize);
+  uint8_t mac_key[kMacKeySize];
+  stream_.NextBytes(mac_key, kMacKeySize);
   util::Bytes buf = sealed;
   stream_.Crypt(&buf);
 
-  util::Bytes framed(buf.begin(), buf.end() - static_cast<long>(kMacSize));
-  util::Bytes mac(buf.end() - static_cast<long>(kMacSize), buf.end());
-  if (!util::ConstantTimeEquals(mac, crypto::HmacSha1(mac_key, framed))) {
+  const size_t framed_len = buf.size() - kMacSize;
+  uint8_t mac[kMacSize];
+  crypto::HmacSha1(mac_key, kMacKeySize, buf.data(), framed_len, mac);
+  if (!util::ConstantTimeEquals(mac, buf.data() + framed_len, kMacSize)) {
     return fail("MAC check failed");
   }
-  xdr::Decoder dec(std::move(framed));
-  auto len = dec.GetUint32();
-  if (!len.ok()) {
-    return fail("sealed message missing length");
-  }
-  auto plaintext = dec.GetFixedOpaque(len.value());
-  if (!plaintext.ok() || !dec.AtEnd()) {
+  const size_t len = (static_cast<size_t>(buf[0]) << 24) | (static_cast<size_t>(buf[1]) << 16) |
+                     (static_cast<size_t>(buf[2]) << 8) | static_cast<size_t>(buf[3]);
+  if (4 + PaddedLength(len) != framed_len) {
     return fail("length field inconsistent with message");
   }
-  return std::move(plaintext).value();
+  for (size_t i = 4 + len; i < framed_len; ++i) {
+    if (buf[i] != 0) {
+      return fail("length field inconsistent with message");
+    }
+  }
+  // The plaintext is buf[4, 4 + len): trim the frame around it in place.
+  buf.resize(4 + len);
+  buf.erase(buf.begin(), buf.begin() + 4);
+  return buf;
 }
 
 util::Bytes SessionKeys::SessionId() const {

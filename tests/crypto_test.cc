@@ -52,6 +52,23 @@ TEST(Sha1Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha1Test, EverySplitPointMatchesOneShot) {
+  // Three whole blocks split at every offset: the first Update may hash
+  // whole blocks straight from the caller's buffer, leave a partial tail
+  // in the internal buffer, or both, and the second must finish either.
+  Bytes msg(3 * crypto::kSha1BlockSize);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  const Bytes expected = Sha1Digest(msg);
+  for (size_t split = 0; split <= msg.size(); ++split) {
+    Sha1 h;
+    h.Update(msg.data(), split);
+    h.Update(msg.data() + split, msg.size() - split);
+    EXPECT_EQ(h.Digest(), expected) << "split at " << split;
+  }
+}
+
 TEST(Sha1Test, PaddingBoundaries) {
   // Lengths straddling the 55/56/64-byte padding edge all hash distinctly
   // and deterministically.
@@ -109,6 +126,34 @@ TEST(Arc4Test, ClassicKnownVectors) {
     Bytes data = BytesOf(v.plaintext);
     cipher.Crypt(&data);
     EXPECT_EQ(util::HexEncode(data), v.ciphertext_hex) << v.key;
+  }
+}
+
+TEST(Arc4Test, CryptMatchesNextByteAtEveryLength) {
+  // Crypt and NextBytes must emit exactly the NextByte stream at every
+  // length, across the wrap of the S-box index, and leave the cipher at
+  // the same stream position.
+  const Bytes key = BytesOf("0123456789abcdefghij");
+  for (size_t len = 0; len <= 600; ++len) {
+    Arc4 bytewise(key);
+    Arc4 bulk(key);
+    Arc4 drawn(key);
+    Bytes data(len);
+    Bytes expected(len);
+    for (size_t k = 0; k < len; ++k) {
+      data[k] = static_cast<uint8_t>(k * 3 + len);
+      expected[k] = data[k] ^ bytewise.NextByte();
+    }
+    bulk.Crypt(&data);
+    EXPECT_EQ(data, expected) << "length " << len;
+    Bytes stream = drawn.NextBytes(len);
+    for (size_t k = 0; k < len; ++k) {
+      ASSERT_EQ(stream[k], static_cast<uint8_t>(expected[k] ^ (k * 3 + len)))
+          << "length " << len << " byte " << k;
+    }
+    const uint8_t next = bytewise.NextByte();
+    EXPECT_EQ(bulk.NextByte(), next) << "length " << len;
+    EXPECT_EQ(drawn.NextByte(), next) << "length " << len;
   }
 }
 
