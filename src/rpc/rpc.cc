@@ -16,6 +16,14 @@ constexpr uint32_t kReplyError = 1;
 
 }  // namespace
 
+void ReplyCache::Insert(uint32_t seqno, util::Bytes reply, obs::SpanContext ctx) {
+  entries_[seqno] = Entry{std::move(reply), ctx};
+  max_seqno_ = std::max(max_seqno_, seqno);
+  while (!entries_.empty() && entries_.begin()->first + kDrcWindow <= max_seqno_) {
+    entries_.erase(entries_.begin());
+  }
+}
+
 Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock)
     : registry_(registry != nullptr ? registry : obs::Registry::Default()),
       clock_(clock),
@@ -74,7 +82,7 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
 
   // Duplicate-request cache: a retransmitted call must not re-execute a
   // non-idempotent handler.  Replay the reply recorded the first time.
-  if (auto cached = drc_.find(seqno.value()); cached != drc_.end()) {
+  if (const ReplyCache::Entry* cached = drc_.Find(seqno.value())) {
     ++drc_hits_;
     m_drc_hits_->Increment();
     if (tracer_->active()) {
@@ -86,7 +94,7 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
       event.proc_name = ProcNameFor(program, proc.value());
       event.xid = xid.value();
       event.seqno = seqno.value();
-      event.wire_bytes = cached->second.size();
+      event.wire_bytes = cached->reply.size();
       event.t_send_ns = now_ns;
       event.t_recv_ns = now_ns;
       event.drc_hit = true;
@@ -104,14 +112,14 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
       span.end_ns = now_ns;
       span.xid = xid.value();
       span.seqno = seqno.value();
-      span.wire_bytes = cached->second.size();
+      span.wire_bytes = cached->reply.size();
       span.drc_hit = true;
       spans_->RecordClosed(std::move(span),
                            wire_ctx.valid() ? wire_ctx : spans_->current());
     }
-    return cached->second;
+    return cached->reply;
   }
-  if (seqno.value() + kDrcWindow <= drc_max_seqno_ && drc_max_seqno_ != 0) {
+  if (drc_.BelowWindow(seqno.value())) {
     // Older than anything the cache retains; the reply is long gone and
     // re-executing would break at-most-once.
     return util::InvalidArgument("RPC: request seqno below duplicate-cache window");
@@ -209,13 +217,7 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
 
   // Cache every reply — including handler errors, which a duplicate must
   // see verbatim rather than triggering a second execution attempt.
-  drc_[seqno.value()] = reply_bytes;
-  if (seqno.value() > drc_max_seqno_) {
-    drc_max_seqno_ = seqno.value();
-  }
-  while (!drc_.empty() && drc_.begin()->first + kDrcWindow <= drc_max_seqno_) {
-    drc_.erase(drc_.begin());
-  }
+  drc_.Insert(seqno.value(), reply_bytes);
   return reply_bytes;
 }
 
@@ -223,9 +225,8 @@ Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
                std::string prog_name, ProcNamer namer)
     : transport_(transport),
       clock_(transport->clock()),
+      naming_(transport->naming()),
       prog_(prog),
-      prog_name_(prog_name.empty() ? "PROG" + std::to_string(prog) : std::move(prog_name)),
-      namer_(std::move(namer)),
       registry_(registry != nullptr ? registry : obs::Registry::Default()),
       tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
@@ -234,7 +235,16 @@ Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
       m_window_samples_(registry_->GetCounter("rpc.client.window_samples")),
       g_in_flight_(registry_->GetGauge("rpc.client.in_flight")),
       m_queue_wait_(registry_->GetHistogram("rpc.client.queue_wait_ns")) {
-  metrics_.Init(registry_, "rpc.client." + prog_name_);
+  RegisterProgram(prog, std::move(prog_name), std::move(namer));
+}
+
+void Client::RegisterProgram(uint32_t prog, std::string name, ProcNamer namer) {
+  if (name.empty()) {
+    name = "PROG" + std::to_string(prog);
+  }
+  Program& program = programs_[prog];
+  program.namer = std::move(namer);
+  program.metrics.Init(registry_, "rpc.client." + name);
 }
 
 Client::~Client() {
@@ -263,11 +273,12 @@ void Client::EnableEventDriven() {
       [this](sim::Delivery delivery) { OnDelivery(std::move(delivery)); });
 }
 
-util::Result<util::Bytes> Client::Call(uint32_t proc, const util::Bytes& args) {
+util::Result<util::Bytes> Client::Call(uint32_t prog, uint32_t proc,
+                                       const util::Bytes& args) {
   // Submit through the window and pump until this call's reply lands;
   // earlier async calls complete (and run their callbacks) on the way.
   std::optional<util::Result<util::Bytes>> out;
-  CallAsync(proc, args,
+  CallAsync(prog, proc, args,
             [&out](util::Result<util::Bytes> result) { out = std::move(result); });
   while (!out.has_value()) {
     PumpOnce();
@@ -282,8 +293,8 @@ void Client::EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
   }
   obs::TraceEvent event;
   event.kind = kind;
-  event.layer = "rpc";
-  event.prog = prog_;
+  event.layer = naming_.layer;
+  event.prog = call.prog;
   event.proc = call.proc;
   event.proc_name = call.proc_name;
   event.xid = call.xid;
@@ -327,7 +338,8 @@ void Client::ArmTimer(PendingCall* call) {
   }
 }
 
-void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
+void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args,
+                       Callback done) {
   // A new call may enter only when (a) a window slot is free and (b) its
   // seqno would stay within the server's duplicate-request window of the
   // oldest outstanding call.  (b) matters because completions arrive out
@@ -360,7 +372,13 @@ void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
   uint32_t xid = next_xid_++;
   uint32_t seqno = next_seqno_++;
   ++calls_made_;
-  const std::string proc_name = namer_ ? namer_(proc) : std::to_string(proc);
+  auto program = programs_.find(prog);
+  if (program == programs_.end()) {
+    RegisterProgram(prog);
+    program = programs_.find(prog);
+  }
+  const ProcNamer& namer = program->second.namer;
+  const std::string proc_name = namer ? namer(proc) : std::to_string(proc);
 
   // Async call span: parented to the ambient span at submission (the
   // initiating operation), ended when the reply completes the call.
@@ -368,13 +386,13 @@ void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
   // calls before closing their own span.
   uint64_t span_id = 0;
   if (spans_->enabled()) {
-    span_id = spans_->Begin("rpc.call." + proc_name, "rpc");
+    span_id = spans_->Begin(naming_.call_span_prefix + proc_name, naming_.layer);
   }
 
   xdr::Encoder enc;
   enc.PutUint32(xid);
   enc.PutUint32(seqno);
-  enc.PutUint32(prog_);
+  enc.PutUint32(prog);
   enc.PutUint32(proc);
   enc.PutOpaque(args);
   if (obs::Span* s = spans_->Find(span_id)) {
@@ -387,6 +405,7 @@ void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
   PendingCall call;
   call.xid = xid;
   call.seqno = seqno;
+  call.prog = prog;
   call.proc = proc;
   call.proc_name = proc_name;
   call.span_id = span_id;
@@ -396,7 +415,7 @@ void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
   }
   call.t_call_ns = clock_->now_ns();
   call.rto_ns = transport_->retry_policy().initial_rto_ns;
-  call.pm = metrics_.Get(proc, call.proc_name);
+  call.pm = program->second.metrics.Get(proc, call.proc_name);
   call.pm->calls->Increment();
   call.done = std::move(done);
 
@@ -463,7 +482,12 @@ void Client::OnDeadline(PendingCall* call) {
   const sim::RetryPolicy& policy = transport_->retry_policy();
   const uint32_t attempts = policy.max_transmissions == 0 ? 1 : policy.max_transmissions;
   if (call->attempt + 1 >= attempts) {
-    Complete(call->xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
+    // A reply the transport kept refusing is a verdict, not silence:
+    // persistent tampering surfaces as the refusal (kSecurityError).
+    Complete(call->xid,
+             !call->rejection.ok()
+                 ? call->rejection
+                 : util::Unavailable("RPC: retry budget exhausted waiting for reply"));
     return;
   }
   ++call->attempt;
@@ -489,20 +513,13 @@ void Client::OnDelivery(sim::Delivery delivery) {
     token_xid = tok->second;
     token_to_xid_.erase(tok);
   }
-  if (!delivery.status.ok()) {
-    if (pending_.count(token_xid) != 0) {
-      Complete(token_xid, delivery.status);
-    }
-    return;
-  }
-
   auto count_unmatched = [&](uint32_t xid, const std::string& note) {
     ++unmatched_replies_;
     m_unmatched_replies_->Increment();
     if (tracer_->active()) {
       obs::TraceEvent event;
       event.kind = obs::TraceEvent::Kind::kClientStaleReply;
-      event.layer = "rpc";
+      event.layer = naming_.layer;
       event.prog = prog_;
       event.xid = xid;
       event.wire_bytes = delivery.response.size();
@@ -511,6 +528,22 @@ void Client::OnDelivery(sim::Delivery delivery) {
       tracer_->Emit(event);
     }
   };
+  if (delivery.rejected) {
+    // The transport refused the reply (stale seqno, bad MAC): discard it
+    // and let the timer resend; the call remembers why, in case no
+    // acceptable reply ever arrives.
+    count_unmatched(token_xid, delivery.status.message());
+    if (auto it = pending_.find(token_xid); it != pending_.end()) {
+      it->second.rejection = delivery.status;
+    }
+    return;
+  }
+  if (!delivery.status.ok()) {
+    if (pending_.count(token_xid) != 0) {
+      Complete(token_xid, delivery.status);
+    }
+    return;
+  }
 
   xdr::Decoder dec(std::move(delivery.response));
   auto reply_xid = dec.GetUint32();

@@ -3,7 +3,11 @@
 // Mirrors the paper's implementation structure (§3.2): programs
 // communicate via RPC with XDR-described messages, and the library can
 // pretty-print traffic for debugging.  A Dispatcher is the server side of
-// one connection; a Client issues calls over a sim::Link.
+// one connection; a Client issues calls through a Transport: a sim::Link
+// directly (LinkTransport, plain NFS), or the SFS secure channel
+// (sfs::ChannelTransport, which seals each call into one channel frame).
+// One Client may carry several programs (an SFS mount's NFS3 and SFSCTL)
+// on one window and one xid and seqno stream.
 //
 // Wire format (XDR):
 //   call:  uint32 xid, uint32 seqno, uint32 prog, uint32 proc, opaque args
@@ -21,7 +25,11 @@
 // matches replies to outstanding calls by xid; a reply matching no
 // outstanding call (a late duplicate from network reordering) is counted
 // and discarded, and each call retransmits on its own timer until the
-// matching reply arrives or the retry budget runs out.
+// matching reply arrives or the retry budget runs out.  A reply the
+// transport refuses (sim::Delivery::rejected: a stale channel seqno, a
+// bad MAC) is counted and discarded the same way; a call whose budget
+// runs out after such a refusal fails with it (kSecurityError for
+// persistent tampering), not with kUnavailable.
 //
 // One call engine: every call is submitted through the transport and
 // completed by its delivery event (sim::Link's discrete-event core).
@@ -40,6 +48,7 @@
 #include <string>
 
 #include "src/obs/metrics.h"
+#include "src/obs/span.h"
 #include "src/sim/network.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
@@ -55,6 +64,36 @@ inline constexpr uint32_t kDrcWindow = 64;
 // kDrcWindow so every in-flight seqno (and a margin of recently
 // completed ones) still has a cached reply a retransmit can hit.
 inline constexpr uint32_t kMaxSendWindow = 32;
+
+// Duplicate-request cache: the reply recorded for each recent request
+// seqno, so a retransmitted request replays it instead of re-executing a
+// possibly non-idempotent handler.  Keeps the kDrcWindow newest seqnos.
+// An entry may carry the trace context of the request that produced it,
+// for callers that cannot reread the context from a duplicate (a sealed
+// channel frame must not be opened twice).
+class ReplyCache {
+ public:
+  struct Entry {
+    util::Bytes reply;
+    obs::SpanContext ctx;
+  };
+
+  // The entry recorded for `seqno`, or nullptr.
+  const Entry* Find(uint32_t seqno) const {
+    auto it = entries_.find(seqno);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  // True when `seqno` is older than anything the cache retains: its
+  // reply is gone, and re-executing would break at-most-once.
+  bool BelowWindow(uint32_t seqno) const {
+    return max_seqno_ != 0 && seqno + kDrcWindow <= max_seqno_;
+  }
+  void Insert(uint32_t seqno, util::Bytes reply, obs::SpanContext ctx = {});
+
+ private:
+  std::map<uint32_t, Entry> entries_;
+  uint32_t max_seqno_ = 0;
+};
 
 // Server-side handler for one RPC program.
 using ProgramHandler =
@@ -98,8 +137,7 @@ class Dispatcher : public sim::Service {
   std::map<uint32_t, Program> programs_;
 
   // Duplicate-request cache: wire seqno -> complete reply message.
-  std::map<uint32_t, util::Bytes> drc_;
-  uint32_t drc_max_seqno_ = 0;
+  ReplyCache drc_;
   uint64_t drc_hits_ = 0;
 
   obs::Registry* registry_;
@@ -127,6 +165,14 @@ class Transport {
   // The clock and retry policy governing this transport.
   virtual sim::Clock* clock() = 0;
   virtual const sim::RetryPolicy& retry_policy() const = 0;
+  // Where a Client over this transport records its calls: call spans are
+  // "<call_span_prefix><PROC>" in span layer `layer`, which also labels
+  // its trace events.
+  struct Naming {
+    const char* layer;
+    const char* call_span_prefix;
+  };
+  virtual Naming naming() const = 0;
 };
 
 // Adapts sim::Link to Transport.
@@ -146,6 +192,7 @@ class LinkTransport : public Transport {
   }
   sim::Clock* clock() override { return link_->clock(); }
   const sim::RetryPolicy& retry_policy() const override { return link_->retry_policy(); }
+  Naming naming() const override { return {"rpc", "rpc.call."}; }
 
  private:
   sim::Link* link_;
@@ -162,12 +209,22 @@ class Client {
          std::string prog_name = "", ProcNamer namer = nullptr);
   ~Client();
 
+  // Adds another program to this client, named like the constructor's
+  // (metrics "rpc.client.<name>.<PROC>.*").  Every program shares the
+  // one window, xid stream and seqno stream, as the programs a
+  // Dispatcher serves share one connection.
+  void RegisterProgram(uint32_t prog, std::string name = "", ProcNamer namer = nullptr);
+
   // Synchronous call.  Errors from the transport (kUnavailable,
   // kSecurityError) and from the remote handler both surface as Status.
   // Submits through CallAsync and pumps deliveries until this call
   // completes — earlier async calls' replies are processed (and their
-  // callbacks run) along the way.
-  util::Result<util::Bytes> Call(uint32_t proc, const util::Bytes& args);
+  // callbacks run) along the way.  Without `prog`, calls the program
+  // named at construction.
+  util::Result<util::Bytes> Call(uint32_t prog, uint32_t proc, const util::Bytes& args);
+  util::Result<util::Bytes> Call(uint32_t proc, const util::Bytes& args) {
+    return Call(prog_, proc, args);
+  }
 
   // Completion for an asynchronous call: the decoded results, or the
   // transport/handler error.  Runs inside a later Call/CallAsync/Drain.
@@ -176,7 +233,10 @@ class Client {
   // Starts a call without waiting for its reply.  If the window is full,
   // blocks (pumping deliveries) until a slot frees; the wait is recorded
   // in the rpc.client.queue_wait_ns histogram.
-  void CallAsync(uint32_t proc, const util::Bytes& args, Callback done);
+  void CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Callback done);
+  void CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
+    CallAsync(prog_, proc, args, std::move(done));
+  }
 
   // Pumps until every outstanding async call has completed.
   void Drain();
@@ -203,22 +263,32 @@ class Client {
   // resends feed the link's link.retransmissions counter.
   uint64_t retransmissions() const { return retransmissions_; }
   // Replies that matched no outstanding call (late duplicates from
-  // reordering); aggregated in rpc.client.unmatched_replies.
+  // reordering) or that the transport refused; aggregated in
+  // rpc.client.unmatched_replies.
   uint64_t unmatched_replies() const { return unmatched_replies_; }
 
  private:
+  struct Program {
+    ProcNamer namer;
+    obs::ProcMetricsTable metrics;
+  };
+
   struct PendingCall {
     uint32_t xid = 0;
     uint32_t seqno = 0;
+    uint32_t prog = 0;
     uint32_t proc = 0;
     std::string proc_name;
-    util::Bytes wire;  // Sealed once; retransmissions resend these bytes.
+    util::Bytes wire;  // Encoded once; retransmissions resend these bytes.
     uint64_t t_call_ns = 0;
     uint64_t deadline_ns = 0;
     uint64_t rto_ns = 0;
     uint64_t timer_id = 0;  // Event-driven retransmission timer; 0 = none.
     uint32_t attempt = 0;
-    uint64_t span_id = 0;  // Open "rpc.call.<proc>" span; 0 = tracing off.
+    // Why the transport last refused a reply to this call (e.g. a bad
+    // MAC); surfaced if the retry budget runs out.
+    util::Status rejection = util::OkStatus();
+    uint64_t span_id = 0;  // Open call span; 0 = tracing off.
     obs::ProcMetrics* pm = nullptr;
     Callback done;
   };
@@ -241,9 +311,9 @@ class Client {
 
   Transport* transport_;
   sim::Clock* clock_;
-  uint32_t prog_;
-  std::string prog_name_;
-  ProcNamer namer_;
+  const Transport::Naming naming_;
+  uint32_t prog_;  // The constructor's program: Call/CallAsync without one.
+  std::map<uint32_t, Program> programs_;
   uint32_t next_xid_ = 1;
   uint32_t next_seqno_ = 1;
   uint32_t window_ = 1;
@@ -268,7 +338,6 @@ class Client {
   // gauge tracks (client window occupancy over virtual time).
   obs::Gauge* g_in_flight_;
   obs::Histogram* m_queue_wait_;
-  obs::ProcMetricsTable metrics_;
 };
 
 }  // namespace rpc

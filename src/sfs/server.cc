@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "src/crypto/sha1.h"
+#include "src/sfs/channel.h"
 #include "src/sfs/idmap.h"
 #include "src/util/log.h"
 #include "src/xdr/xdr.h"
@@ -18,29 +19,6 @@ util::Bytes DeriveHandleKey(const crypto::RabinPrivateKey& key) {
   enc.PutString("HandleKey");
   enc.PutOpaque(key.Serialize());
   return crypto::Sha1Digest(enc.Take());
-}
-
-util::Bytes FrameMessage(uint32_t type, const util::Bytes& payload) {
-  xdr::Encoder enc;
-  enc.PutUint32(type);
-  enc.PutOpaque(payload);
-  return enc.Take();
-}
-
-// Closed all-crypto span for a seal/open interval on the server side.
-void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, uint64_t start_ns,
-                      uint64_t end_ns, uint64_t bytes, obs::SpanContext parent) {
-  if (spans == nullptr || !spans->enabled() || end_ns == start_ns) {
-    return;
-  }
-  obs::Span span;
-  span.name = name;
-  span.layer = "server";
-  span.start_ns = start_ns;
-  span.end_ns = end_ns;
-  span.cat_ns[static_cast<size_t>(obs::TimeCategory::kCrypto)] = end_ns - start_ns;
-  span.wire_bytes = bytes;
-  spans->RecordClosed(std::move(span), parent);
 }
 
 }  // namespace
@@ -343,7 +321,7 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
     state_ = State::kDead;
     return util::InvalidArgument("malformed channel frame");
   }
-  if (auto cached = reply_cache_.find(wire_seqno.value()); cached != reply_cache_.end()) {
+  if (const rpc::ReplyCache::Entry* cached = reply_cache_.Find(wire_seqno.value())) {
     ++server_->drc_hits_;
     server_->m_drc_hits_->Increment();
     if (server_->tracer_->active()) {
@@ -351,7 +329,7 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
       event.kind = obs::TraceEvent::Kind::kServerDrcHit;
       event.layer = "sfs.chan";
       event.seqno = wire_seqno.value();
-      event.wire_bytes = cached->second.size();
+      event.wire_bytes = cached->reply.size();
       event.t_send_ns = server_->clock_->now_ns();
       event.t_recv_ns = event.t_send_ns;
       event.drc_hit = true;
@@ -362,24 +340,21 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
       // The sealed body cannot be opened again (the keystream must not
       // advance), so the replay's trace context comes from the cache of
       // the original dispatch.
-      obs::SpanContext parent = server_->spans_->current();
-      if (auto ctx = ctx_cache_.find(wire_seqno.value()); ctx != ctx_cache_.end()) {
-        parent = ctx->second;
-      }
+      const obs::SpanContext parent =
+          cached->ctx.valid() ? cached->ctx : server_->spans_->current();
       obs::Span span;
       span.name = "sfs.drc_hit";
       span.layer = "server";
       span.start_ns = server_->clock_->now_ns();
       span.end_ns = span.start_ns;
       span.seqno = wire_seqno.value();
-      span.wire_bytes = cached->second.size();
+      span.wire_bytes = cached->reply.size();
       span.drc_hit = true;
       server_->spans_->RecordClosed(std::move(span), parent);
     }
-    return cached->second;
+    return cached->reply;
   }
-  if (reply_cache_max_seqno_ != 0 &&
-      wire_seqno.value() + kDrcWindow <= reply_cache_max_seqno_) {
+  if (reply_cache_.BelowWindow(wire_seqno.value())) {
     state_ = State::kDead;
     return util::SecurityError("channel seqno below duplicate-cache window");
   }
@@ -391,7 +366,7 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
   } else {
     const uint64_t open_start_ns = server_->clock_->now_ns();
     server_->costs_->ChargeCrypto(server_->clock_, sealed_body->size());
-    RecordCryptoSpan(server_->spans_, "sfs.open", open_start_ns,
+    RecordCryptoSpan(server_->spans_, "sfs.open", "server", open_start_ns,
                      server_->clock_->now_ns(), sealed_body->size(),
                      server_->spans_->current());
     auto opened = cipher_in_->Open(sealed_body.value());
@@ -402,7 +377,8 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
     plaintext = std::move(opened).value();
   }
 
-  auto reply = DispatchRpc(plaintext, wire_seqno.value());
+  obs::SpanContext wire_ctx;
+  auto reply = DispatchRpc(plaintext, wire_seqno.value(), &wire_ctx);
   if (!reply.ok()) {
     state_ = State::kDead;
     return reply.status();
@@ -420,7 +396,7 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
     const uint64_t seal_start_ns = server_->clock_->now_ns();
     sealed_reply = cipher_out_->Seal(reply.value());
     server_->costs_->ChargeCrypto(server_->clock_, sealed_reply.size());
-    RecordCryptoSpan(server_->spans_, "sfs.seal", seal_start_ns,
+    RecordCryptoSpan(server_->spans_, "sfs.seal", "server", seal_start_ns,
                      server_->clock_->now_ns(), sealed_reply.size(),
                      server_->spans_->current());
   }
@@ -431,23 +407,13 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
 
   // Record the framed reply so a retransmit replays these exact bytes
   // without touching either keystream.
-  reply_cache_[wire_seqno.value()] = framed_reply;
-  if (wire_seqno.value() > reply_cache_max_seqno_) {
-    reply_cache_max_seqno_ = wire_seqno.value();
-  }
-  while (!reply_cache_.empty() &&
-         reply_cache_.begin()->first + kDrcWindow <= reply_cache_max_seqno_) {
-    reply_cache_.erase(reply_cache_.begin());
-  }
-  while (!ctx_cache_.empty() &&
-         ctx_cache_.begin()->first + kDrcWindow <= reply_cache_max_seqno_) {
-    ctx_cache_.erase(ctx_cache_.begin());
-  }
+  reply_cache_.Insert(wire_seqno.value(), framed_reply, wire_ctx);
   return framed_reply;
 }
 
 util::Result<util::Bytes> ServerConnection::DispatchRpc(const util::Bytes& rpc_message,
-                                                        uint32_t wire_seqno) {
+                                                        uint32_t wire_seqno,
+                                                        obs::SpanContext* wire_ctx_out) {
   // Minimal RPC framing: xid, prog, proc, args (see rpc/rpc.h).
   xdr::Decoder dec(rpc_message);
   auto xid = dec.GetUint32();
@@ -471,9 +437,7 @@ util::Result<util::Bytes> ServerConnection::DispatchRpc(const util::Bytes& rpc_m
   if (!dec.AtEnd()) {
     return util::InvalidArgument("malformed RPC in channel");
   }
-  if (wire_ctx.valid()) {
-    ctx_cache_[wire_seqno] = wire_ctx;
-  }
+  *wire_ctx_out = wire_ctx;
 
   const bool is_nfs = prog.value() == nfs::kNfsProgram;
   const bool is_ctl = prog.value() == kSfsCtlProgram;

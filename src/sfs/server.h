@@ -32,6 +32,7 @@
 #include "src/nfs/memfs.h"
 #include "src/nfs/program.h"
 #include "src/obs/span.h"
+#include "src/rpc/rpc.h"
 #include "src/sfs/audit.h"
 #include "src/sfs/handle_crypt.h"
 #include "src/sfs/pathname.h"
@@ -187,9 +188,10 @@ class ServerConnection : public sim::Service {
   util::Result<util::Bytes> HandleSrpFinish(const util::Bytes& payload);
 
   // Dispatches one plaintext RPC (NFS or control program).  `wire_seqno`
-  // identifies the channel frame in trace events.
-  util::Result<util::Bytes> DispatchRpc(const util::Bytes& rpc_message,
-                                        uint32_t wire_seqno);
+  // identifies the channel frame in trace events; `wire_ctx` receives the
+  // trace context the call carried (none when tracing is off).
+  util::Result<util::Bytes> DispatchRpc(const util::Bytes& rpc_message, uint32_t wire_seqno,
+                                        obs::SpanContext* wire_ctx);
   util::Result<util::Bytes> HandleNfs(uint32_t proc, const util::Bytes& args);
   util::Result<util::Bytes> HandleCtl(uint32_t proc, const util::Bytes& args);
 
@@ -214,15 +216,12 @@ class ServerConnection : public sim::Service {
   // Duplicate-request cache for the secure channel: wire seqno -> the
   // complete framed (sealed) reply.  Replaying the cached bytes keeps
   // both keystreams untouched, so a retransmitted request advances
-  // neither cipher (see docs/PROTOCOL.md).
-  std::map<uint32_t, util::Bytes> reply_cache_;
-  uint32_t reply_cache_max_seqno_ = 0;
-  // Trace context of the request that produced each cached reply: a DRC
-  // hit records its span into the *original* call's trace (the
-  // retransmitted frame carries the same sealed bytes, so the context is
-  // unreadable at hit time — the cipher must not run twice).  Pruned in
-  // lockstep with reply_cache_.
-  std::map<uint32_t, obs::SpanContext> ctx_cache_;
+  // neither cipher (see docs/PROTOCOL.md).  Each entry keeps the trace
+  // context of the request that produced it: a DRC hit records its span
+  // into the *original* call's trace (the retransmitted frame carries
+  // the same sealed bytes, so the context is unreadable at hit time —
+  // the cipher must not run twice).
+  rpc::ReplyCache reply_cache_;
 
   // Handshake messages have no seqno; a redelivered copy is recognized by
   // byte identity and answered with the recorded reply instead of hitting

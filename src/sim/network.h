@@ -23,9 +23,11 @@
 // (RetryPolicy), up to RetryPolicy::max_transmissions; only then does the
 // caller observe kUnavailable.  The timer starts at send, and a deadline
 // that passes while the exchange is still in progress is re-armed rather
-// than resent (Link::InProgress).  rpc::Client and sfs::MountPoint run their
-// own per-call timers; Roundtrip() is the small stop-and-wait helper for
-// framings that are not RPC (handshakes, sfskey, the read-only dialect).
+// than resent (Link::InProgress).  rpc::Client runs its own per-call
+// timers, over the link directly (rpc::LinkTransport) or through the
+// secure channel (sfs::ChannelTransport); Roundtrip() is the small
+// stop-and-wait helper for framings that are not RPC (handshakes, sfskey,
+// the read-only dialect).
 // Services are expected to deduplicate redelivered requests (see
 // rpc::Dispatcher and sfs::ServerConnection).
 #ifndef SFS_SRC_SIM_NETWORK_H_
@@ -53,6 +55,11 @@ struct Delivery {
   uint64_t token = 0;
   util::Status status = util::OkStatus();
   util::Bytes response;
+  // Set by a transport layered over the link that refused the response
+  // (a stale channel seqno, a reply failing its MAC); `status` says why.
+  // Unlike a service verdict this ends no call: the caller discards the
+  // reply and keeps waiting for a genuine copy.
+  bool rejected = false;
 };
 
 // A request handler on the far side of a link ("the server machine").

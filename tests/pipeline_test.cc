@@ -4,7 +4,8 @@
 // machinery invisible — zero retransmissions, zero unmatched replies.
 // Also covers the CachingFs asynchronous read-ahead and batched prefetch
 // paths against a scripted async backend, where delivery timing is under
-// test control.
+// test control, and the secure channel's in-order reply hand-up under
+// rpc::Client.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,7 +19,9 @@
 #include "src/nfs/memfs.h"
 #include "src/obs/metrics.h"
 #include "src/rpc/rpc.h"
+#include "src/sfs/channel.h"
 #include "src/sfs/client.h"
+#include "src/sfs/proto.h"
 #include "src/sfs/server.h"
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
@@ -26,6 +29,7 @@
 #include "src/sim/event.h"
 #include "src/sim/network.h"
 #include "src/util/bytes.h"
+#include "src/xdr/xdr.h"
 
 namespace {
 
@@ -370,6 +374,86 @@ TEST(SfsPipelineTest, CleanPipelinedWorkloadLeavesNoRetryResidue) {
     EXPECT_EQ((*mount)->link()->retransmissions(), 0u);
     EXPECT_EQ(server.drc_hits(), 0u);
     EXPECT_EQ(server.fs()->creates_applied(), 8u);
+  }
+}
+
+// --- The secure channel under rpc::Client -------------------------------------
+
+// Cleartext channel endpoint: answers each Encrypted frame with a reply
+// echoing the call's args, framed as a server would frame it.
+class EchoChannelService : public sim::Service {
+ public:
+  util::Result<Bytes> Handle(const Bytes& request) override {
+    ASSIGN_OR_RETURN(Bytes payload, sfs::Unframe(sfs::kMsgEncrypted, request));
+    xdr::Decoder frame(payload);
+    ASSIGN_OR_RETURN(uint32_t seqno, frame.GetUint32());
+    ASSIGN_OR_RETURN(Bytes body, frame.GetOpaque());
+    xdr::Decoder call(body);
+    ASSIGN_OR_RETURN(uint32_t xid, call.GetUint32());
+    ASSIGN_OR_RETURN(uint32_t prog, call.GetUint32());
+    ASSIGN_OR_RETURN(uint32_t proc, call.GetUint32());
+    ASSIGN_OR_RETURN(Bytes args, call.GetOpaque());
+    (void)prog;
+    (void)proc;
+    xdr::Encoder reply;
+    reply.PutUint32(xid);
+    reply.PutUint32(0);
+    reply.PutOpaque(args);
+    xdr::Encoder reply_frame;
+    reply_frame.PutUint32(seqno);
+    reply_frame.PutOpaque(reply.Take());
+    return sfs::FrameMessage(sfs::kMsgEncrypted, reply_frame.Take());
+  }
+};
+
+// Drops the first response only: its call's successor arrives first and
+// must wait in the reorder buffer until the retransmitted reply fills
+// the gap.
+class DropFirstResponse : public sim::Interposer {
+ public:
+  util::Result<Bytes> OnResponse(Bytes response) override {
+    if (!dropped_) {
+      dropped_ = true;
+      return util::Unavailable("dropped");
+    }
+    return response;
+  }
+
+ private:
+  bool dropped_ = false;
+};
+
+TEST(ChannelTransportTest, RepliesCompleteInSeqnoOrderPulledOrPushed) {
+  for (bool event_driven : {false, true}) {
+    SCOPED_TRACE(event_driven ? "delivery sink" : "AwaitNext");
+    sim::Clock clock;
+    sim::CostModel costs;
+    obs::Registry registry;
+    EchoChannelService service;
+    sim::Link link(&clock, sim::LinkProfile::Tcp(), &service, &registry);
+    DropFirstResponse drop;
+    link.set_interposer(&drop);
+    sfs::ChannelTransport channel(&link, &costs, &registry.spans());
+    rpc::Client client(&channel, sfs::kSfsCtlProgram, &registry, "SFSCTL");
+    client.set_window(4);
+    if (event_driven) {
+      client.EnableEventDriven();
+    }
+
+    std::vector<std::string> completed;
+    for (const char* name : {"first", "second", "third"}) {
+      client.CallAsync(1, BytesOf(name), [&completed](util::Result<Bytes> result) {
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        completed.push_back(util::StringOf(result.value()));
+      });
+    }
+    client.Drain();
+    // The first reply was lost and resent; the later two opened only
+    // after it, in issue order, and none was refused.
+    EXPECT_EQ(completed, (std::vector<std::string>{"first", "second", "third"}));
+    EXPECT_EQ(client.retransmissions(), 1u);
+    EXPECT_EQ(client.unmatched_replies(), 0u);
+    EXPECT_EQ(clock.events()->size(), 0u);
   }
 }
 

@@ -3,11 +3,17 @@
 // authentication, leases, revocation, and the SRP password service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "src/auth/authserver.h"
+#include "src/crypto/sha1.h"
 #include "src/crypto/srp.h"
 #include "src/sfs/client.h"
+#include "src/sfs/idmap.h"
 #include "src/sfs/pathname.h"
 #include "src/sfs/proto.h"
 #include "src/sfs/revocation.h"
@@ -40,17 +46,7 @@ class SfsTest : public ::testing::Test {
     server_options.allow_cleartext = true;
     server_ = std::make_unique<SfsServer>(&clock_, &costs_, server_options, &authserver_);
 
-    SfsClient::Options client_options;
-    client_options.ephemeral_key_bits = kKeyBits;
-    client_ = std::make_unique<SfsClient>(
-        &clock_, &costs_,
-        [this](const std::string& location) -> SfsServer* {
-          if (location == "sfs.lcs.mit.edu") {
-            return server_.get();
-          }
-          return nullptr;
-        },
-        client_options);
+    client_ = MakeClient(/*window=*/1);
 
     // Register a user with the authserver.
     user_key_ = test_keys::CachedTestKey(77, kKeyBits);
@@ -59,6 +55,23 @@ class SfsTest : public ::testing::Test {
     record.public_key = user_key_.public_key().Serialize();
     record.credentials = Credentials::User(1000, {1000});
     EXPECT_TRUE(authserver_.RegisterUser(record).ok());
+  }
+
+  // A client of this fixture's server with its own send window.
+  std::unique_ptr<SfsClient> MakeClient(uint32_t window, bool encrypt = true) {
+    SfsClient::Options client_options;
+    client_options.ephemeral_key_bits = kKeyBits;
+    client_options.window = window;
+    client_options.encrypt = encrypt;
+    return std::make_unique<SfsClient>(
+        &clock_, &costs_,
+        [this](const std::string& location) -> SfsServer* {
+          if (location == "sfs.lcs.mit.edu") {
+            return server_.get();
+          }
+          return nullptr;
+        },
+        client_options);
   }
 
   // An agent-style signer holding the registered user's private key.
@@ -297,15 +310,236 @@ TEST_F(SfsTest, TamperedRequestsAreDetected) {
 }
 
 TEST_F(SfsTest, TamperedResponsesAreDetected) {
-  auto mount = client_->Mount(server_->Path());
-  ASSERT_TRUE(mount.ok());
-  ResponseTamperInterposer tamper(0);
-  (*mount)->link()->set_interposer(&tamper);
+  // Every reply fails its MAC at the expected keystream position; once
+  // the retry budget runs out the call reports the forgery, not silence,
+  // whether or not the channel pipelines.
+  for (uint32_t window : {1u, 4u}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    std::unique_ptr<SfsClient> client = MakeClient(window);
+    auto mount = client->Mount(server_->Path());
+    ASSERT_TRUE(mount.ok());
+    ResponseTamperInterposer tamper(0);
+    (*mount)->link()->set_interposer(&tamper);
+    Fattr attr;
+    Stat s = (*mount)->fs()->GetAttr((*mount)->root_fh(), &attr);
+    EXPECT_EQ(s, Stat::kIo);
+    EXPECT_EQ((*mount)->raw_client()->last_transport_error().code(),
+              util::ErrorCode::kSecurityError);
+    EXPECT_GT((*mount)->unmatched_replies(), 0u);
+  }
+}
+
+// Rewrites the xid inside one cleartext channel reply to the next call's
+// xid: a reply that opens cleanly at its seqno yet names another call.
+class ReplyXidSwapInterposer : public sim::Interposer {
+ public:
+  explicit ReplyXidSwapInterposer(uint32_t seqno) : seqno_(seqno) {}
+  util::Result<Bytes> OnResponse(Bytes response) override {
+    xdr::Decoder frame(response);
+    auto type = frame.GetUint32();
+    auto payload = frame.GetOpaque();
+    if (!type.ok() || type.value() != sfs::kMsgEncrypted || !payload.ok()) {
+      return response;
+    }
+    xdr::Decoder inner(payload.value());
+    auto seqno = inner.GetUint32();
+    auto body = inner.GetOpaque();
+    if (!seqno.ok() || seqno.value() != seqno_ || !body.ok() || body->size() < 4) {
+      return response;
+    }
+    xdr::Decoder xid_dec(body.value());
+    const uint32_t xid = xid_dec.GetUint32().value();
+    xdr::Encoder swapped_xid;
+    swapped_xid.PutUint32(xid + 1);
+    Bytes swapped = body.value();
+    std::copy(swapped_xid.data().begin(), swapped_xid.data().end(), swapped.begin());
+    xdr::Encoder rebuilt_inner;
+    rebuilt_inner.PutUint32(seqno.value());
+    rebuilt_inner.PutOpaque(swapped);
+    xdr::Encoder rebuilt;
+    rebuilt.PutUint32(sfs::kMsgEncrypted);
+    rebuilt.PutOpaque(rebuilt_inner.Take());
+    ++swaps_;
+    return rebuilt.Take();
+  }
+  int swaps() const { return swaps_; }
+
+ private:
+  uint32_t seqno_;
+  int swaps_ = 0;
+};
+
+TEST_F(SfsTest, ChannelReplyNamingAnotherCallFailsOnlyThatCall) {
+  // Cleartext channel (no MAC), so the rewritten reply opens at its
+  // seqno.  Four ID-mapping calls are in flight at once; the second
+  // one's reply claims the third call's xid.
+  std::unique_ptr<SfsClient> client = MakeClient(/*window=*/4, /*encrypt=*/false);
+  auto mount = client->Mount(server_->Path());
+  ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+  // The mount's GETROOT used seqno 1; the async calls take 2..5.
+  ReplyXidSwapInterposer swapper(/*seqno=*/3);
+  (*mount)->link()->set_interposer(&swapper);
+
+  std::vector<std::optional<util::Result<Bytes>>> results(4);
+  for (size_t i = 0; i < results.size(); ++i) {
+    xdr::Encoder args;
+    args.PutUint32(1000);
+    (*mount)->CallAsync(sfs::kSfsCtlProgram, sfs::kCtlIdToName, args.Take(),
+                        [&results, i](util::Result<Bytes> result) {
+                          results[i] = std::move(result);
+                        });
+  }
+  EXPECT_EQ((*mount)->in_flight(), 4u);
+  (*mount)->Drain();
+  EXPECT_EQ((*mount)->in_flight(), 0u);
+  EXPECT_EQ(swapper.swaps(), 1);
+
+  for (size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    ASSERT_TRUE(results[i].has_value());
+    if (i == 1) {
+      ASSERT_FALSE(results[i]->ok());
+      EXPECT_EQ(results[i]->status().code(), util::ErrorCode::kSecurityError);
+      continue;
+    }
+    ASSERT_TRUE(results[i]->ok()) << results[i]->status().ToString();
+    xdr::Decoder dec(results[i]->value());
+    EXPECT_TRUE(dec.GetBool().value());
+    EXPECT_EQ(dec.GetString().value(), "kaminsky");
+  }
+  // The channel stays usable: the next call opens at the next position.
+  EXPECT_EQ((*mount)->RemoteUserName(1000), std::optional<std::string>("kaminsky"));
+}
+
+// --- Wire-bytes pin -----------------------------------------------------------
+
+// Forwards every message unchanged and hashes it, with its direction and
+// length, in the order the link carries it.
+class WireDigestInterposer : public sim::Interposer {
+ public:
+  util::Result<Bytes> OnRequest(Bytes request) override {
+    Absorb('>', request);
+    max_outstanding_ = std::max(max_outstanding_, ++outstanding_);
+    return request;
+  }
+  util::Result<Bytes> OnResponse(Bytes response) override {
+    Absorb('<', response);
+    --outstanding_;
+    return response;
+  }
+  std::string HexDigest() { return util::HexEncode(sha_.Digest()); }
+  size_t messages() const { return messages_; }
+  // Most requests on the wire or at the server at once.
+  int max_outstanding() const { return max_outstanding_; }
+
+ private:
+  void Absorb(uint8_t direction, const Bytes& message) {
+    const uint32_t n = static_cast<uint32_t>(message.size());
+    const uint8_t header[5] = {direction, static_cast<uint8_t>(n >> 24),
+                               static_cast<uint8_t>(n >> 16), static_cast<uint8_t>(n >> 8),
+                               static_cast<uint8_t>(n)};
+    sha_.Update(header, sizeof header);
+    sha_.Update(message);
+    ++messages_;
+  }
+
+  crypto::Sha1 sha_;
+  size_t messages_ = 0;
+  int outstanding_ = 0;
+  int max_outstanding_ = 0;
+};
+
+// A fresh server and client, then one clean scripted session over a
+// pass-through interposer: mount, login, create, write, read, remove.
+// Returns the digest of every request and response byte.
+std::string PinnedSessionDigest(uint32_t window, size_t* messages, int* max_outstanding) {
+  sim::Clock clock;
+  sim::CostModel costs;
+  auth::AuthServer authserver;
+  const crypto::RabinPrivateKey& user_key = test_keys::CachedTestKey(77, kKeyBits);
+  auth::PublicUserRecord record;
+  record.name = "kaminsky";
+  record.public_key = user_key.public_key().Serialize();
+  record.credentials = Credentials::User(1000, {1000});
+  EXPECT_TRUE(authserver.RegisterUser(record).ok());
+
+  SfsServer::Options server_options;
+  server_options.location = "sfs.lcs.mit.edu";
+  server_options.key_bits = kKeyBits;
+  SfsServer server(&clock, &costs, server_options, &authserver);
+  SfsClient::Options client_options;
+  client_options.ephemeral_key_bits = kKeyBits;
+  client_options.window = window;
+  SfsClient client(&clock, &costs, [&server](const std::string&) { return &server; },
+                   client_options);
+  WireDigestInterposer digest;
+  client.set_interposer(&digest);
+
+  auto mount = client.Mount(server.Path());
+  EXPECT_TRUE(mount.ok()) << mount.status().ToString();
+  if (!mount.ok()) {
+    return "";
+  }
+  SfsClient::MountPoint* mp = mount.value();
+  EXPECT_TRUE(mp->Authenticate(1000, [&user_key](const Bytes& auth_info,
+                                                 uint32_t seqno) -> std::optional<Bytes> {
+                  Bytes body = auth::MakeSignedAuthReqBody(sfs::MakeAuthId(auth_info), seqno);
+                  xdr::Encoder enc;
+                  enc.PutOpaque(user_key.public_key().Serialize());
+                  enc.PutOpaque(user_key.Sign(body));
+                  return enc.Take();
+                })
+                  .ok());
+  const Credentials alice = Credentials::User(1000, {1000});
+  FileHandle fh;
   Fattr attr;
-  Stat s = (*mount)->fs()->GetAttr((*mount)->root_fh(), &attr);
-  EXPECT_EQ(s, Stat::kIo);
-  EXPECT_EQ((*mount)->raw_client()->last_transport_error().code(),
-            util::ErrorCode::kSecurityError);
+  EXPECT_EQ(mp->fs()->Create(mp->root_fh(), "pinned.txt", alice, {}, &fh, &attr), Stat::kOk);
+  Bytes content(40000);
+  for (size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<uint8_t>(i * 7);
+  }
+  EXPECT_EQ(mp->fs()->Write(fh, alice, 0, content, /*stable=*/true, &attr), Stat::kOk);
+  // Sequential 8 KB reads from a cold cache: at window > 1 the cache
+  // layer reads ahead, so several sealed calls are in flight at once.
+  mp->cache()->InvalidateAll();
+  EXPECT_EQ(mp->fs()->GetAttr(fh, &attr), Stat::kOk);
+  Bytes data;
+  bool eof = false;
+  while (!eof && data.size() < content.size()) {
+    Bytes chunk;
+    EXPECT_EQ(mp->fs()->Read(fh, alice, data.size(), 8192, &chunk, &eof), Stat::kOk);
+    if (chunk.empty()) {
+      break;
+    }
+    data.insert(data.end(), chunk.begin(), chunk.end());
+  }
+  EXPECT_EQ(data, content);
+  EXPECT_EQ(mp->fs()->Remove(mp->root_fh(), "pinned.txt", alice), Stat::kOk);
+  mp->Drain();
+  *messages = digest.messages();
+  *max_outstanding = digest.max_outstanding();
+  return digest.HexDigest();
+}
+
+// Refactoring oracle for the client call engine: a clean session must
+// put exactly these bytes on the wire, in this order.  Any change in
+// framing, sealing, xids, seqnos or call order breaks the digests; only
+// a deliberate wire-format change may update them.
+TEST(ChannelWireTest, MountSessionBytesPinned) {
+  const std::map<uint32_t, std::pair<size_t, std::string>> kPinned = {
+      {1, {26, "c8a88ebb62d4633e55b2c56897d4e8b50edf0807"}},
+      {4, {30, "c655338a94ffeec6be3794df91001dd7856381a2"}},
+  };
+  for (const auto& [window, pinned] : kPinned) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    size_t messages = 0;
+    int max_outstanding = 0;
+    const std::string digest = PinnedSessionDigest(window, &messages, &max_outstanding);
+    EXPECT_EQ(messages, pinned.first);
+    EXPECT_EQ(digest, pinned.second);
+    // At window 4 the read-ahead calls were genuinely in flight together.
+    EXPECT_EQ(max_outstanding > 1, window > 1) << max_outstanding;
+  }
 }
 
 // Substitutes a different public key during the connect reply — the

@@ -17,6 +17,14 @@ threshold (default 10%), making it usable as a CI gate:
 
 Runs present in only one file are reported but never fail the gate
 (benchmarks are added and retired across commits).
+
+`--exact` is the refactoring oracle for virtual-time benches, whose
+numbers are a pure function of the timing model: it fails on any
+difference in `real_time_s` or in any counter, faster or slower, and on
+a baseline run missing from the candidate.  Host CPU (`cpu_time_s`) is
+ignored.
+
+    bench_compare.py compare --exact old.json new.json
 """
 
 import argparse
@@ -133,6 +141,46 @@ def cmd_validate(args):
     return 0 if ok else 1
 
 
+def exact_differences(b, c):
+    """Every way run `c` differs from run `b`, ignoring cpu_time_s."""
+    diffs = []
+    if b["real_time_s"] != c["real_time_s"]:
+        diffs.append(f"real_time_s {b['real_time_s']!r} -> {c['real_time_s']!r}")
+    if b["error"] != c["error"]:
+        diffs.append(f"error {b['error']!r} -> {c['error']!r}")
+    bc, cc = b.get("counters", {}), c.get("counters", {})
+    for key in sorted(bc.keys() | cc.keys()):
+        if bc.get(key) != cc.get(key):
+            diffs.append(f"counter {key} {bc.get(key)!r} -> {cc.get(key)!r}")
+    return diffs
+
+
+def cmd_compare_exact(base_runs, cand_runs):
+    failures = []
+    for name in sorted(base_runs.keys() | cand_runs.keys()):
+        b, c = base_runs.get(name), cand_runs.get(name)
+        if b is None:
+            print(f"new      {name}")
+            continue
+        if c is None:
+            print(f"MISSING  {name}")
+            failures.append(name)
+            continue
+        diffs = exact_differences(b, c)
+        if diffs:
+            print(f"DIFFERS  {name}")
+            for diff in diffs:
+                print(f"           {diff}")
+            failures.append(name)
+        else:
+            print(f"same     {name}")
+    if failures:
+        print(f"\n{len(failures)} run(s) differ from the baseline: {', '.join(failures)}")
+        return 1
+    print(f"\nall {len(base_runs)} baseline run(s) reproduced exactly")
+    return 0
+
+
 def cmd_compare(args):
     try:
         base = load(args.baseline)
@@ -146,6 +194,8 @@ def cmd_compare(args):
 
     base_runs = {r["name"]: r for r in base["runs"]}
     cand_runs = {r["name"]: r for r in cand["runs"]}
+    if args.exact:
+        return cmd_compare_exact(base_runs, cand_runs)
     regressions = []
     width = max((len(n) for n in base_runs.keys() | cand_runs.keys()), default=4)
 
@@ -194,6 +244,9 @@ def main(argv):
     p_compare = sub.add_parser("compare", help="diff two result files")
     p_compare.add_argument("--threshold", type=float, default=0.10,
                            help="max allowed real-time regression (default 0.10)")
+    p_compare.add_argument("--exact", action="store_true",
+                           help="fail on any real_time_s or counter difference "
+                                "(ignores cpu_time_s and --threshold)")
     p_compare.add_argument("baseline")
     p_compare.add_argument("candidate")
     p_compare.set_defaults(func=cmd_compare)

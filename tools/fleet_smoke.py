@@ -6,14 +6,13 @@ fleet_scaling benchmark (small, deterministic fleet configurations over
 the discrete-event core) into a scratch directory, then applies three
 gates:
 
-  1. Baseline diff.  Delegates to bench_compare.py to diff the fresh
-     BENCH_fleet_scaling.json against the committed baseline.  The rows
-     report *virtual* time, which is a pure function of the timing
-     model, so the comparison is exact: any delta means the event core,
-     admission queue, or link model changed behaviour.  The 10%
-     threshold exists only to absorb a deliberately retuned cost model
-     half-way through a stack of commits; honest refactors reproduce
-     the baseline to the nanosecond.
+  1. Baseline diff.  Delegates to `bench_compare.py compare --exact` to
+     diff the fresh BENCH_fleet_scaling.json against the committed
+     baseline.  The rows report *virtual* time, which is a pure function
+     of the timing model, so the comparison is exact: any delta in
+     real_time_s or a counter, in either direction, means the event
+     core, admission queue, or link model changed behaviour.  A
+     deliberately retuned model refreshes the committed baseline.
 
   2. Timeline integration.  For every run with an embedded timeline
      (bench_compare.py load() already validated edges and utilization
@@ -139,13 +138,12 @@ def main(argv):
         return 1
 
     candidate = os.path.join(scratch, "BENCH_fleet_scaling.json")
-    # Gate 1: exact-ish baseline diff (also schema-validates both files,
+    # Gate 1: exact baseline diff (also schema-validates both files,
     # including every embedded timeline's window/utilization invariants).
     compare = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "bench_compare.py")
     rc = subprocess.call([
-        sys.executable, compare, "compare", "--threshold", "0.10",
-        baseline, candidate,
+        sys.executable, compare, "compare", "--exact", baseline, candidate,
     ])
     if rc != 0:
         return rc
