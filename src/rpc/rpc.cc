@@ -24,8 +24,43 @@ void ReplyCache::Insert(uint32_t seqno, util::Bytes reply, obs::SpanContext ctx)
   }
 }
 
-Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock)
-    : registry_(registry != nullptr ? registry : obs::Registry::Default()),
+util::Result<Call> DecodeCall(const util::Bytes& message, std::optional<uint32_t> seqno) {
+  xdr::Decoder dec(message);
+  Call call;
+  call.wire_bytes = message.size();
+  auto xid = dec.GetUint32();
+  auto wire_seqno = seqno.has_value() ? util::Result<uint32_t>(*seqno) : dec.GetUint32();
+  auto prog = dec.GetUint32();
+  auto proc = dec.GetUint32();
+  auto args = dec.GetOpaque();
+  if (!xid.ok() || !wire_seqno.ok() || !prog.ok() || !proc.ok() || !args.ok()) {
+    return util::InvalidArgument("RPC: malformed call message");
+  }
+  call.xid = xid.value();
+  call.seqno = wire_seqno.value();
+  call.prog = prog.value();
+  call.proc = proc.value();
+  call.args = std::move(args).value();
+  // Optional trailing trace context, present only while the caller's span
+  // collector is enabled (docs/OBSERVABILITY.md §"Spans").  Retransmits
+  // resend identical bytes, so a duplicate carries its original context.
+  if (!dec.AtEnd()) {
+    auto trace_id = dec.GetUint64();
+    auto parent_span = dec.GetUint64();
+    if (!trace_id.ok() || !parent_span.ok()) {
+      return util::InvalidArgument("RPC: malformed call message");
+    }
+    call.ctx = obs::SpanContext{trace_id.value(), parent_span.value()};
+  }
+  if (!dec.AtEnd()) {
+    return util::InvalidArgument("RPC: malformed call message");
+  }
+  return call;
+}
+
+Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock, Naming naming)
+    : naming_(naming),
+      registry_(registry != nullptr ? registry : obs::Registry::Default()),
       clock_(clock),
       tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
@@ -44,181 +79,146 @@ void Dispatcher::RegisterProgram(uint32_t prog, ProgramHandler handler, ProcName
 }
 
 std::string Dispatcher::ProcNameFor(const Program* program, uint32_t proc) const {
-  if (program != nullptr && program->namer) {
-    return program->namer(proc);
+  if (program == nullptr) {
+    return "";
   }
-  return std::to_string(proc);
+  return program->namer ? program->namer(proc) : std::to_string(proc);
+}
+
+uint64_t Dispatcher::NowNs() const { return clock_ != nullptr ? clock_->now_ns() : 0; }
+
+void Dispatcher::Emit(obs::TraceEvent::Kind kind, const Call& call, const std::string& proc_name,
+                      uint64_t wire_bytes, uint64_t t_send_ns, const std::string& note) {
+  if (!tracer_->active()) {
+    return;
+  }
+  obs::TraceEvent event;
+  event.kind = kind;
+  event.layer = naming_.layer;
+  event.prog = call.prog;
+  event.proc = call.proc;
+  event.proc_name = proc_name;
+  event.xid = call.xid;
+  event.seqno = call.seqno;
+  event.wire_bytes = wire_bytes;
+  event.t_send_ns = t_send_ns;
+  event.t_recv_ns = NowNs();
+  event.drc_hit = kind == obs::TraceEvent::Kind::kServerDrcHit;
+  event.note = note;
+  tracer_->Emit(event);
 }
 
 util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
-  xdr::Decoder dec(request);
-  auto xid = dec.GetUint32();
-  auto seqno = dec.GetUint32();
-  auto prog = dec.GetUint32();
-  auto proc = dec.GetUint32();
-  auto args = dec.GetOpaque();
-  if (!xid.ok() || !seqno.ok() || !prog.ok() || !proc.ok() || !args.ok()) {
-    return util::InvalidArgument("RPC: malformed call message");
+  auto call = DecodeCall(request);
+  if (!call.ok()) {
+    return call.status();
   }
-  // Optional trailing trace context, present only while the caller's span
-  // collector is enabled (docs/OBSERVABILITY.md §"Spans").  Retransmits
-  // resend identical bytes, so a duplicate carries its original context.
-  obs::SpanContext wire_ctx;
-  if (!dec.AtEnd()) {
-    auto trace_id = dec.GetUint64();
-    auto parent_span = dec.GetUint64();
-    if (!trace_id.ok() || !parent_span.ok()) {
-      return util::InvalidArgument("RPC: malformed call message");
-    }
-    wire_ctx = obs::SpanContext{trace_id.value(), parent_span.value()};
-  }
-  if (!dec.AtEnd()) {
-    return util::InvalidArgument("RPC: malformed call message");
-  }
-
-  auto it = programs_.find(prog.value());
-  Program* program = it == programs_.end() ? nullptr : &it->second;
-  const uint64_t now_ns = clock_ != nullptr ? clock_->now_ns() : 0;
-
   // Duplicate-request cache: a retransmitted call must not re-execute a
   // non-idempotent handler.  Replay the reply recorded the first time.
-  if (const ReplyCache::Entry* cached = drc_.Find(seqno.value())) {
-    ++drc_hits_;
-    m_drc_hits_->Increment();
-    if (tracer_->active()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kServerDrcHit;
-      event.layer = "rpc";
-      event.prog = prog.value();
-      event.proc = proc.value();
-      event.proc_name = ProcNameFor(program, proc.value());
-      event.xid = xid.value();
-      event.seqno = seqno.value();
-      event.wire_bytes = cached->reply.size();
-      event.t_send_ns = now_ns;
-      event.t_recv_ns = now_ns;
-      event.drc_hit = true;
-      event.note = "replayed cached reply";
-      tracer_->Emit(event);
-    }
-    if (spans_->enabled()) {
-      // Zero-duration marker: the retransmitted copy was answered from
-      // the cache, parented into the original call's trace by the wire
-      // context the duplicate still carries.
-      obs::Span span;
-      span.name = "rpc.drc_hit";
-      span.layer = "server";
-      span.start_ns = now_ns;
-      span.end_ns = now_ns;
-      span.xid = xid.value();
-      span.seqno = seqno.value();
-      span.wire_bytes = cached->reply.size();
-      span.drc_hit = true;
-      spans_->RecordClosed(std::move(span),
-                           wire_ctx.valid() ? wire_ctx : spans_->current());
-    }
+  if (const ReplyCache::Entry* cached = drc_.Find(call->seqno)) {
+    RecordDrcHit(*call, cached->reply.size());
     return cached->reply;
   }
-  if (drc_.BelowWindow(seqno.value())) {
+  if (drc_.BelowWindow(call->seqno)) {
     // Older than anything the cache retains; the reply is long gone and
     // re-executing would break at-most-once.
     return util::InvalidArgument("RPC: request seqno below duplicate-cache window");
   }
-
-  xdr::Encoder reply;
-  reply.PutUint32(xid.value());
-
-  util::Bytes reply_bytes;
-  if (program == nullptr) {
-    reply.PutUint32(kReplyError);
-    reply.PutUint32(static_cast<uint32_t>(util::ErrorCode::kNotFound));
-    reply.PutString("no such program");
-    reply_bytes = reply.Take();
-  } else {
-    std::string proc_name = ProcNameFor(program, proc.value());
-    if (util::GetLogLevel() <= util::LogLevel::kDebug) {
-      SFS_LOG(kDebug) << "rpc call prog=" << prog.value() << " proc=" << proc_name
-                      << " args=" << args.value().size() << "B";
-    }
-    if (tracer_->active()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kServerDispatch;
-      event.layer = "rpc";
-      event.prog = prog.value();
-      event.proc = proc.value();
-      event.proc_name = proc_name;
-      event.xid = xid.value();
-      event.seqno = seqno.value();
-      event.wire_bytes = request.size();
-      event.t_send_ns = now_ns;
-      tracer_->Emit(event);
-    }
-
-    obs::ProcMetrics* pm = program->metrics.Get(proc.value(), proc_name);
-    pm->calls->Increment();
-    pm->bytes_received->Increment(request.size());
-
-    // Dispatch span: explicit wire-context parent when the caller sent
-    // one (correct even for a retransmitted copy raced by the original),
-    // ambient otherwise.  Pushed so handler-side spans (disk charges)
-    // nest under it.
-    uint64_t dispatch_span = 0;
-    if (spans_->enabled()) {
-      dispatch_span = spans_->Begin("rpc.dispatch." + proc_name, "server", wire_ctx);
-      if (obs::Span* s = spans_->Find(dispatch_span)) {
-        s->xid = xid.value();
-        s->seqno = seqno.value();
-        s->wire_bytes = request.size();
-      }
-      spans_->Push(dispatch_span);
-    }
-    auto result = program->handler(proc.value(), args.value());
-    if (dispatch_span != 0) {
-      if (obs::Span* s = spans_->Find(dispatch_span)) {
-        s->error = !result.ok();
-      }
-      spans_->Pop(dispatch_span);
-      spans_->End(dispatch_span);
-    }
-    if (clock_ != nullptr) {
-      // Handler execution time (server CPU + disk, by the cost model).
-      pm->latency->Record(clock_->now_ns() - now_ns);
-    }
-    if (!result.ok()) {
-      pm->errors->Increment();
-      reply.PutUint32(kReplyError);
-      reply.PutUint32(static_cast<uint32_t>(result.status().code()));
-      reply.PutString(result.status().message());
-    } else {
-      reply.PutUint32(kReplyAccepted);
-      reply.PutOpaque(result.value());
-    }
-    reply_bytes = reply.Take();
-    pm->bytes_sent->Increment(reply_bytes.size());
-
-    if (tracer_->active()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kServerReply;
-      event.layer = "rpc";
-      event.prog = prog.value();
-      event.proc = proc.value();
-      event.proc_name = proc_name;
-      event.xid = xid.value();
-      event.seqno = seqno.value();
-      event.wire_bytes = reply_bytes.size();
-      event.t_send_ns = now_ns;
-      event.t_recv_ns = clock_ != nullptr ? clock_->now_ns() : 0;
-      if (!result.ok()) {
-        event.note = result.status().message();
-      }
-      tracer_->Emit(event);
-    }
-  }
-
+  util::Bytes reply = Dispatch(*call);
   // Cache every reply — including handler errors, which a duplicate must
   // see verbatim rather than triggering a second execution attempt.
-  drc_.Insert(seqno.value(), reply_bytes);
+  drc_.Insert(call->seqno, reply);
+  return reply;
+}
+
+util::Bytes Dispatcher::Dispatch(const Call& call, const CallHandler& handler) {
+  xdr::Encoder reply;
+  reply.PutUint32(call.xid);
+  auto put_error = [&reply](const util::Status& status) {
+    reply.PutUint32(kReplyError);
+    reply.PutUint32(static_cast<uint32_t>(status.code()));
+    reply.PutString(status.message());
+  };
+  auto it = programs_.find(call.prog);
+  if (it == programs_.end()) {
+    put_error(util::NotFound("no such program"));
+    return reply.Take();
+  }
+  Program& program = it->second;
+  const uint64_t now_ns = NowNs();
+  const std::string proc_name = ProcNameFor(&program, call.proc);
+  if (util::GetLogLevel() <= util::LogLevel::kDebug) {
+    SFS_LOG(kDebug) << naming_.layer << " call prog=" << call.prog << " proc=" << proc_name
+                    << " args=" << call.args.size() << "B";
+  }
+  Emit(obs::TraceEvent::Kind::kServerDispatch, call, proc_name, call.wire_bytes, now_ns, "");
+
+  obs::ProcMetrics* pm = program.metrics.Get(call.proc, proc_name);
+  pm->calls->Increment();
+  pm->bytes_received->Increment(call.wire_bytes);
+
+  // Dispatch span: explicit wire-context parent when the caller sent one
+  // (correct even for a retransmitted copy raced by the original),
+  // ambient otherwise.  Pushed so handler-side spans (disk charges, the
+  // audit record) nest under it.
+  uint64_t dispatch_span = 0;
+  if (spans_->enabled()) {
+    dispatch_span = spans_->Begin(std::string(naming_.span_prefix) + "dispatch." + proc_name,
+                                  "server", call.ctx);
+    if (obs::Span* s = spans_->Find(dispatch_span)) {
+      s->xid = call.xid;
+      s->seqno = call.seqno;
+      s->wire_bytes = call.wire_bytes;
+    }
+    spans_->Push(dispatch_span);
+  }
+  auto result = handler ? handler(call) : program.handler(call.proc, call.args);
+  if (dispatch_span != 0) {
+    if (obs::Span* s = spans_->Find(dispatch_span)) {
+      s->error = !result.ok();
+    }
+    spans_->Pop(dispatch_span);
+    spans_->End(dispatch_span);
+  }
+  if (clock_ != nullptr) {
+    // Handler execution time (server CPU + disk, by the cost model).
+    pm->latency->Record(clock_->now_ns() - now_ns);
+  }
+  if (!result.ok()) {
+    pm->errors->Increment();
+    put_error(result.status());
+  } else {
+    reply.PutUint32(kReplyAccepted);
+    reply.PutOpaque(result.value());
+  }
+  util::Bytes reply_bytes = reply.Take();
+  pm->bytes_sent->Increment(reply_bytes.size());
+  Emit(obs::TraceEvent::Kind::kServerReply, call, proc_name, reply_bytes.size(), now_ns,
+       result.status().message());
   return reply_bytes;
+}
+
+void Dispatcher::RecordDrcHit(const Call& call, uint64_t reply_bytes) {
+  m_drc_hits_->Increment();
+  const uint64_t now_ns = NowNs();
+  auto it = programs_.find(call.prog);
+  Emit(obs::TraceEvent::Kind::kServerDrcHit, call,
+       ProcNameFor(it == programs_.end() ? nullptr : &it->second, call.proc), reply_bytes,
+       now_ns, "replayed cached reply");
+  if (spans_->enabled()) {
+    // Zero-duration marker: the retransmitted copy was answered from the
+    // cache, parented into the original call's trace.
+    obs::Span span;
+    span.name = std::string(naming_.span_prefix) + "drc_hit";
+    span.layer = "server";
+    span.start_ns = now_ns;
+    span.end_ns = now_ns;
+    span.xid = call.xid;
+    span.seqno = call.seqno;
+    span.wire_bytes = reply_bytes;
+    span.drc_hit = true;
+    spans_->RecordClosed(std::move(span), call.ctx.valid() ? call.ctx : spans_->current());
+  }
 }
 
 Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
@@ -386,7 +386,8 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args,
   // calls before closing their own span.
   uint64_t span_id = 0;
   if (spans_->enabled()) {
-    span_id = spans_->Begin(naming_.call_span_prefix + proc_name, naming_.layer);
+    span_id = spans_->Begin(std::string(naming_.span_prefix) + "call." + proc_name,
+                            naming_.layer);
   }
 
   xdr::Encoder enc;

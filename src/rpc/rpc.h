@@ -2,12 +2,23 @@
 //
 // Mirrors the paper's implementation structure (§3.2): programs
 // communicate via RPC with XDR-described messages, and the library can
-// pretty-print traffic for debugging.  A Dispatcher is the server side of
-// one connection; a Client issues calls through a Transport: a sim::Link
-// directly (LinkTransport, plain NFS), or the SFS secure channel
-// (sfs::ChannelTransport, which seals each call into one channel frame).
-// One Client may carry several programs (an SFS mount's NFS3 and SFSCTL)
-// on one window and one xid and seqno stream.
+// pretty-print traffic for debugging.  A Client issues calls through a
+// Transport: a sim::Link directly (LinkTransport, plain NFS), or the SFS
+// secure channel (sfs::ChannelTransport, which seals each call into one
+// channel frame).  One Client may carry several programs (an SFS mount's
+// NFS3 and SFSCTL) on one window and one xid and seqno stream.
+//
+// One dispatch step serves both transports.  DecodeCall decodes a call
+// (and its trace context) and Dispatcher::Dispatch runs it: the dispatch
+// span, the trace events, the per-procedure server.* metrics and the
+// reply encoding.  As the sim::Service of a plain connection, a
+// Dispatcher's Handle is decode -> reply cache -> Dispatch with the
+// registered handler.  The SFS server (sfs::ServerConnection) runs the
+// same steps around its cipher: unframe -> reply cache -> open -> decode
+// (the frame supplies the seqno) -> Dispatch with the connection's
+// handler -> seal -> frame.  A Naming value names either end's spans and
+// trace layer: "rpc." / "rpc" for plain RPC, "sfs." / "sfs.chan" on the
+// channel.
 //
 // Wire format (XDR):
 //   call:  uint32 xid, uint32 seqno, uint32 prog, uint32 proc, opaque args
@@ -18,10 +29,11 @@
 //   reply: uint32 xid, uint32 status (0 = accepted), on error: uint32
 //          code + string message, else opaque results
 //
-// At-most-once semantics: the link retransmits lost messages, so the
-// Dispatcher keeps a duplicate-request cache (DRC) keyed by the call's
-// wire sequence number — a redelivered request replays the cached reply
-// instead of re-executing a possibly non-idempotent handler.  The Client
+// At-most-once semantics: the link retransmits lost messages, so each
+// server connection keeps a duplicate-request cache (DRC, a ReplyCache)
+// keyed by the call's wire sequence number — a redelivered request
+// replays the cached reply instead of re-executing a possibly
+// non-idempotent handler (Dispatcher::RecordDrcHit records it).  The Client
 // matches replies to outstanding calls by xid; a reply matching no
 // outstanding call (a late duplicate from network reordering) is counted
 // and discarded, and each call retransmits on its own timer until the
@@ -45,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "src/obs/metrics.h"
@@ -95,9 +108,42 @@ class ReplyCache {
   uint32_t max_seqno_ = 0;
 };
 
+// Where one end of a connection records its work, so the plain link and
+// the SFS channel report through one call engine and one dispatch step
+// under their own names: the client's call spans are
+// "<span_prefix>call.<PROC>" in span layer `layer`; the server's are
+// "<span_prefix>dispatch.<PROC>" and "<span_prefix>drc_hit" in layer
+// "server"; `layer` also labels both ends' trace events.
+struct Naming {
+  const char* layer;
+  const char* span_prefix;
+};
+inline constexpr Naming kPlainNaming{"rpc", "rpc."};
+
+// One decoded call message.
+struct Call {
+  uint32_t xid = 0;
+  uint32_t seqno = 0;
+  uint32_t prog = 0;
+  uint32_t proc = 0;
+  util::Bytes args;
+  obs::SpanContext ctx;     // The caller's call span; invalid when none was sent.
+  uint64_t wire_bytes = 0;  // Size of the decoded message.
+};
+
+// The decode step: parses a call message and its optional trace context.
+// Without `seqno` the message carries its own seqno word (the wire format
+// above); with it, the message has none — the SFS channel's plaintext,
+// whose seqno travels in the frame around it (docs/PROTOCOL.md §5).
+util::Result<Call> DecodeCall(const util::Bytes& message,
+                              std::optional<uint32_t> seqno = std::nullopt);
+
 // Server-side handler for one RPC program.
 using ProgramHandler =
     std::function<util::Result<util::Bytes>(uint32_t proc, const util::Bytes& args)>;
+
+// Handler a caller of Dispatcher::Dispatch supplies for one call.
+using CallHandler = std::function<util::Result<util::Bytes>(const Call& call)>;
 
 // Optional proc-name resolver, used by the traffic pretty-printer.
 using ProcNamer = std::function<std::string(uint32_t proc)>;
@@ -106,23 +152,38 @@ class Dispatcher : public sim::Service {
  public:
   // `registry` receives the server.* counters, per-procedure ops metrics
   // and trace events; nullptr selects obs::Registry::Default().  `clock`
-  // (optional) timestamps trace events and feeds per-procedure handler
-  // latency histograms.
-  explicit Dispatcher(obs::Registry* registry = nullptr,
-                      const sim::Clock* clock = nullptr);
+  // (optional) timestamps trace events and spans and feeds per-procedure
+  // handler latency histograms.  `naming` names the spans and trace layer.
+  explicit Dispatcher(obs::Registry* registry = nullptr, const sim::Clock* clock = nullptr,
+                      Naming naming = kPlainNaming);
 
   // `name` labels this program's server-side metrics
-  // ("server.<name>.<PROC>.*"); empty derives "PROG<prog>".
+  // ("server.<name>.<PROC>.*"); empty derives "PROG<prog>".  A program
+  // registered without a handler is served only through Dispatch with a
+  // caller-supplied one.
   void RegisterProgram(uint32_t prog, ProgramHandler handler, ProcNamer namer = nullptr,
                        std::string name = "");
+  bool Serves(uint32_t prog) const { return programs_.count(prog) != 0; }
 
-  // sim::Service: decode the call header, dispatch, encode the reply.
+  // sim::Service for a plain-RPC connection: decode, answer a duplicate
+  // from this dispatcher's reply cache, else Dispatch with the program's
+  // registered handler and cache the reply.
   util::Result<util::Bytes> Handle(const util::Bytes& request) override;
 
-  // Requests answered from the duplicate-request cache (no re-execution).
-  // Per-instance shim; the registry's server.drc_hits counter aggregates
-  // the same events across dispatchers.
-  uint64_t drc_hits() const { return drc_hits_; }
+  // The dispatch step: runs one decoded call under its
+  // "<span_prefix>dispatch.<PROC>" span, with the dispatch and reply
+  // trace events and the per-procedure server.* metrics, and returns the
+  // encoded reply.  `handler` runs the call (default: the program's
+  // registered handler).  A call naming an unregistered program gets a
+  // kNotFound error reply and runs nothing.
+  util::Bytes Dispatch(const Call& call, const CallHandler& handler = nullptr);
+
+  // Records one request answered from a reply cache without running its
+  // handler: the server.drc_hits counter, a kServerDrcHit trace event and
+  // a zero-length "<span_prefix>drc_hit" span parented at `call.ctx`
+  // (else the ambient span).  `call` holds whatever of the request is
+  // readable (a sealed channel frame yields only its seqno).
+  void RecordDrcHit(const Call& call, uint64_t reply_bytes);
 
  private:
   struct Program {
@@ -132,13 +193,17 @@ class Dispatcher : public sim::Service {
     obs::ProcMetricsTable metrics;
   };
 
+  // "" for an unregistered program.
   std::string ProcNameFor(const Program* program, uint32_t proc) const;
+  uint64_t NowNs() const;
+  void Emit(obs::TraceEvent::Kind kind, const Call& call, const std::string& proc_name,
+            uint64_t wire_bytes, uint64_t t_send_ns, const std::string& note);
 
+  const Naming naming_;
   std::map<uint32_t, Program> programs_;
 
   // Duplicate-request cache: wire seqno -> complete reply message.
   ReplyCache drc_;
-  uint64_t drc_hits_ = 0;
 
   obs::Registry* registry_;
   const sim::Clock* clock_;
@@ -165,13 +230,7 @@ class Transport {
   // The clock and retry policy governing this transport.
   virtual sim::Clock* clock() = 0;
   virtual const sim::RetryPolicy& retry_policy() const = 0;
-  // Where a Client over this transport records its calls: call spans are
-  // "<call_span_prefix><PROC>" in span layer `layer`, which also labels
-  // its trace events.
-  struct Naming {
-    const char* layer;
-    const char* call_span_prefix;
-  };
+  // Where a Client over this transport records its calls.
   virtual Naming naming() const = 0;
 };
 
@@ -192,7 +251,7 @@ class LinkTransport : public Transport {
   }
   sim::Clock* clock() override { return link_->clock(); }
   const sim::RetryPolicy& retry_policy() const override { return link_->retry_policy(); }
-  Naming naming() const override { return {"rpc", "rpc.call."}; }
+  Naming naming() const override { return kPlainNaming; }
 
  private:
   sim::Link* link_;
@@ -311,7 +370,7 @@ class Client {
 
   Transport* transport_;
   sim::Clock* clock_;
-  const Transport::Naming naming_;
+  const Naming naming_;
   uint32_t prog_;  // The constructor's program: Call/CallAsync without one.
   std::map<uint32_t, Program> programs_;
   uint32_t next_xid_ = 1;

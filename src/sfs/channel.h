@@ -43,6 +43,11 @@
 
 namespace sfs {
 
+// The channel's span and trace-event names at both ends: the client's
+// "sfs.call.<PROC>" and the server's "sfs.dispatch.<PROC>" and
+// "sfs.drc_hit", with trace events in layer "sfs.chan".
+inline constexpr rpc::Naming kChannelNaming{"sfs.chan", "sfs."};
+
 // Frames one connection message: {type, opaque payload}.
 util::Bytes FrameMessage(uint32_t type, const util::Bytes& payload);
 
@@ -73,7 +78,7 @@ class ChannelTransport : public rpc::Transport {
   void SetDeliverySink(std::function<void(sim::Delivery)> sink) override;
   sim::Clock* clock() override { return link_->clock(); }
   const sim::RetryPolicy& retry_policy() const override { return link_->retry_policy(); }
-  Naming naming() const override { return {"sfs.chan", "sfs.call."}; }
+  rpc::Naming naming() const override { return kChannelNaming; }
 
  private:
   // A call sealed once: its frame, resent verbatim on retransmission.

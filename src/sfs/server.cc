@@ -48,12 +48,17 @@ SfsServer::SfsServer(sim::Clock* clock, const sim::CostModel* costs, Options opt
       authserver_(authserver),
       registry_(options_.registry != nullptr ? options_.registry
                                              : obs::Registry::Default()),
-      tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
-      m_drc_hits_(registry_->GetCounter("server.drc_hits")) {
+      dispatcher_(registry_, clock_, kChannelNaming) {
   nfs_program_.set_lease_ns(options_.lease_ns);
-  nfs_metrics_.Init(registry_, "server.NFS3");
-  ctl_metrics_.Init(registry_, "server.SFSCTL");
+  // Each connection supplies its own handler per call (its credentials
+  // and session state); the names and metrics are server-wide.
+  dispatcher_.RegisterProgram(
+      nfs::kNfsProgram, nullptr, [](uint32_t proc) { return std::string(nfs::ProcName(proc)); },
+      "NFS3");
+  dispatcher_.RegisterProgram(
+      kSfsCtlProgram, nullptr, [](uint32_t proc) { return std::string(CtlProcName(proc)); },
+      "SFSCTL");
   if (options_.audit) {
     ServerAuditor::Options audit_options;
     audit_options.batch_records = options_.audit_batch_records;
@@ -174,20 +179,7 @@ util::Result<util::Bytes> ServerConnection::Handle(const util::Bytes& request) {
       // A duplicated handshake message would otherwise hit the state
       // machine out of phase and kill the connection; replay the reply.
       if (!last_handshake_request_.empty() && request == last_handshake_request_) {
-        ++server_->drc_hits_;
-        server_->m_drc_hits_->Increment();
-        if (server_->tracer_->active()) {
-          obs::TraceEvent event;
-          event.kind = obs::TraceEvent::Kind::kServerDrcHit;
-          event.layer = "sfs.chan";
-          event.proc_name = "HANDSHAKE";
-          event.wire_bytes = last_handshake_reply_.size();
-          event.t_send_ns = server_->clock_->now_ns();
-          event.t_recv_ns = event.t_send_ns;
-          event.drc_hit = true;
-          event.note = "redelivered handshake answered with recorded reply";
-          server_->tracer_->Emit(event);
-        }
+        server_->dispatcher_.RecordDrcHit(rpc::Call{}, last_handshake_reply_.size());
         return last_handshake_reply_;
       }
       auto reply = type.value() == kMsgConnect     ? HandleConnect(payload.value())
@@ -322,36 +314,13 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
     return util::InvalidArgument("malformed channel frame");
   }
   if (const rpc::ReplyCache::Entry* cached = reply_cache_.Find(wire_seqno.value())) {
-    ++server_->drc_hits_;
-    server_->m_drc_hits_->Increment();
-    if (server_->tracer_->active()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kServerDrcHit;
-      event.layer = "sfs.chan";
-      event.seqno = wire_seqno.value();
-      event.wire_bytes = cached->reply.size();
-      event.t_send_ns = server_->clock_->now_ns();
-      event.t_recv_ns = event.t_send_ns;
-      event.drc_hit = true;
-      event.note = "replayed sealed reply; keystreams untouched";
-      server_->tracer_->Emit(event);
-    }
-    if (server_->spans_->enabled()) {
-      // The sealed body cannot be opened again (the keystream must not
-      // advance), so the replay's trace context comes from the cache of
-      // the original dispatch.
-      const obs::SpanContext parent =
-          cached->ctx.valid() ? cached->ctx : server_->spans_->current();
-      obs::Span span;
-      span.name = "sfs.drc_hit";
-      span.layer = "server";
-      span.start_ns = server_->clock_->now_ns();
-      span.end_ns = span.start_ns;
-      span.seqno = wire_seqno.value();
-      span.wire_bytes = cached->reply.size();
-      span.drc_hit = true;
-      server_->spans_->RecordClosed(std::move(span), parent);
-    }
+    // The sealed body cannot be opened again (the keystream must not
+    // advance), so the replay's trace context comes from the cache of the
+    // original dispatch.
+    rpc::Call replayed;
+    replayed.seqno = wire_seqno.value();
+    replayed.ctx = cached->ctx;
+    server_->dispatcher_.RecordDrcHit(replayed, cached->reply.size());
     return cached->reply;
   }
   if (reply_cache_.BelowWindow(wire_seqno.value())) {
@@ -377,11 +346,19 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
     plaintext = std::move(opened).value();
   }
 
-  obs::SpanContext wire_ctx;
-  auto reply = DispatchRpc(plaintext, wire_seqno.value(), &wire_ctx);
-  if (!reply.ok()) {
+  // The plaintext is an RPC call without its seqno word: the frame's
+  // seqno stands in for it (docs/PROTOCOL.md §5).  A body that passed
+  // the MAC but does not decode is a protocol violation.
+  auto call = rpc::DecodeCall(plaintext, wire_seqno.value());
+  if (!call.ok()) {
     state_ = State::kDead;
-    return reply.status();
+    return call.status();
+  }
+  util::Bytes reply = server_->dispatcher_.Dispatch(
+      *call, [this](const rpc::Call& c) { return HandleCall(c); });
+  if (!server_->dispatcher_.Serves(call->prog)) {
+    // Dispatch answered kNotFound and ran nothing; journal the attempt.
+    Journal(*call, util::ErrorCode::kNotFound);
   }
   // The reply frame echoes the request's wire seqno in cleartext, so a
   // pipelined client can order sealed replies for in-order opening
@@ -390,11 +367,11 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
   // — so the echoed seqnos are exactly the keystream order.
   util::Bytes sealed_reply;
   if (cleartext_) {
-    server_->costs_->ChargeCopy(server_->clock_, reply->size());
-    sealed_reply = reply.value();
+    server_->costs_->ChargeCopy(server_->clock_, reply.size());
+    sealed_reply = std::move(reply);
   } else {
     const uint64_t seal_start_ns = server_->clock_->now_ns();
-    sealed_reply = cipher_out_->Seal(reply.value());
+    sealed_reply = cipher_out_->Seal(reply);
     server_->costs_->ChargeCrypto(server_->clock_, sealed_reply.size());
     RecordCryptoSpan(server_->spans_, "sfs.seal", "server", seal_start_ns,
                      server_->clock_->now_ns(), sealed_reply.size(),
@@ -407,146 +384,38 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
 
   // Record the framed reply so a retransmit replays these exact bytes
   // without touching either keystream.
-  reply_cache_.Insert(wire_seqno.value(), framed_reply, wire_ctx);
+  reply_cache_.Insert(wire_seqno.value(), framed_reply, call->ctx);
   return framed_reply;
 }
 
-util::Result<util::Bytes> ServerConnection::DispatchRpc(const util::Bytes& rpc_message,
-                                                        uint32_t wire_seqno,
-                                                        obs::SpanContext* wire_ctx_out) {
-  // Minimal RPC framing: xid, prog, proc, args (see rpc/rpc.h).
-  xdr::Decoder dec(rpc_message);
-  auto xid = dec.GetUint32();
-  auto prog = dec.GetUint32();
-  auto proc = dec.GetUint32();
-  auto args = dec.GetOpaque();
-  if (!xid.ok() || !prog.ok() || !proc.ok() || !args.ok()) {
-    return util::InvalidArgument("malformed RPC in channel");
-  }
-  // Optional trailing trace context (rides inside the sealed body; see
-  // docs/OBSERVABILITY.md §"Spans").
-  obs::SpanContext wire_ctx;
-  if (!dec.AtEnd()) {
-    auto trace_id = dec.GetUint64();
-    auto parent_span = dec.GetUint64();
-    if (!trace_id.ok() || !parent_span.ok()) {
-      return util::InvalidArgument("malformed RPC in channel");
-    }
-    wire_ctx = obs::SpanContext{trace_id.value(), parent_span.value()};
-  }
-  if (!dec.AtEnd()) {
-    return util::InvalidArgument("malformed RPC in channel");
-  }
-  *wire_ctx_out = wire_ctx;
+util::Result<util::Bytes> ServerConnection::HandleCall(const rpc::Call& call) {
+  // The dispatcher runs this only for its registered programs.
+  auto result = call.prog == nfs::kNfsProgram ? HandleNfs(call.proc, call.args)
+                                              : HandleCtl(call.proc, call.args);
+  // Journal the executed operation (retransmits answered from the reply
+  // cache never reach this point, so the journal is exactly-once).  This
+  // runs inside the dispatch span: the record carries its trace/span ids.
+  Journal(call, result.status().code());
+  return result;
+}
 
-  const bool is_nfs = prog.value() == nfs::kNfsProgram;
-  const bool is_ctl = prog.value() == kSfsCtlProgram;
-  const std::string proc_name = is_nfs   ? nfs::ProcName(proc.value())
-                                : is_ctl ? CtlProcName(proc.value())
-                                         : std::to_string(proc.value());
-  const uint64_t t_dispatch_ns = server_->clock_->now_ns();
-
-  auto emit = [&](obs::TraceEvent::Kind kind, uint64_t wire_bytes,
-                  const std::string& note) {
-    if (!server_->tracer_->active()) {
-      return;
-    }
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.layer = "sfs.chan";
-    event.prog = prog.value();
-    event.proc = proc.value();
-    event.proc_name = proc_name;
-    event.xid = xid.value();
-    event.seqno = wire_seqno;
-    event.wire_bytes = wire_bytes;
-    event.t_send_ns = t_dispatch_ns;
-    event.t_recv_ns = server_->clock_->now_ns();
-    event.note = note;
-    server_->tracer_->Emit(event);
-  };
-  emit(obs::TraceEvent::Kind::kServerDispatch, rpc_message.size(), "");
-
-  obs::ProcMetrics* pm = is_nfs   ? server_->nfs_metrics_.Get(proc.value(), proc_name)
-                         : is_ctl ? server_->ctl_metrics_.Get(proc.value(), proc_name)
-                                  : nullptr;
-  if (pm != nullptr) {
-    pm->calls->Increment();
-    pm->bytes_received->Increment(rpc_message.size());
+void ServerConnection::Journal(const rpc::Call& call, util::ErrorCode code) {
+  if (server_->auditor_ == nullptr) {
+    return;
   }
-
-  uint64_t dispatch_span = 0;
-  if (server_->spans_->enabled()) {
-    dispatch_span = server_->spans_->Begin("sfs.dispatch." + proc_name, "server", wire_ctx);
-    if (obs::Span* s = server_->spans_->Find(dispatch_span)) {
-      s->xid = xid.value();
-      s->seqno = wire_seqno;
-      s->wire_bytes = rpc_message.size();
-    }
-    server_->spans_->Push(dispatch_span);
+  const bool is_nfs = call.prog == nfs::kNfsProgram;
+  uint32_t verdict = static_cast<uint32_t>(code);
+  // Stable-storage flag: COMMITs and FILE_SYNC WRITEs are durable
+  // commitments; UNSTABLE write-behind traffic stays unflagged.
+  if (is_nfs && (call.proc == nfs::kProcCommit ||
+                 (call.proc == nfs::kProcWrite && AuditNfsWriteIsStable(call.args)))) {
+    verdict |= kAuditVerdictStableBit;
   }
-
-  util::Result<util::Bytes> result = util::InvalidArgument("no such program");
-  if (is_nfs) {
-    result = HandleNfs(proc.value(), args.value());
-  } else if (is_ctl) {
-    result = HandleCtl(proc.value(), args.value());
-  }
-
-  // Journal the executed operation (retransmits answered from the DRC
-  // never reach this point, so the journal is exactly-once).  Recorded
-  // while the dispatch span is still ambient: the record carries its
-  // trace/span ids.
-  if (server_->auditor_ != nullptr) {
-    uint32_t verdict = result.ok() ? 0 : static_cast<uint32_t>(result.status().code());
-    // Stable-storage flag: COMMITs and FILE_SYNC WRITEs are durable
-    // commitments; UNSTABLE write-behind traffic stays unflagged.
-    if (is_nfs && (proc.value() == nfs::kProcCommit ||
-                   (proc.value() == nfs::kProcWrite &&
-                    AuditNfsWriteIsStable(args.value())))) {
-      verdict |= kAuditVerdictStableBit;
-    }
-    server_->auditor_->Record(
-        is_nfs   ? obs::AuditKind::kNfs
-        : is_ctl ? obs::AuditKind::kCtl
-                 : obs::AuditKind::kOther,
-        id_, wire_seqno, proc.value(), verdict,
-        is_nfs ? AuditFhDigestOfNfsArgs(args.value()) : 0);
-  }
-
-  if (dispatch_span != 0) {
-    if (obs::Span* s = server_->spans_->Find(dispatch_span)) {
-      s->error = !result.ok();
-    }
-    server_->spans_->Pop(dispatch_span);
-    server_->spans_->End(dispatch_span);
-  }
-
-  if (pm != nullptr) {
-    // Handler execution time (server CPU + disk, by the cost model).
-    pm->latency->Record(server_->clock_->now_ns() - t_dispatch_ns);
-    if (!result.ok()) {
-      pm->errors->Increment();
-    }
-  }
-
-  xdr::Encoder reply;
-  reply.PutUint32(xid.value());
-  if (result.ok()) {
-    reply.PutUint32(0);
-    reply.PutOpaque(result.value());
-  } else {
-    reply.PutUint32(1);
-    reply.PutUint32(static_cast<uint32_t>(result.status().code()));
-    reply.PutString(result.status().message());
-  }
-  util::Bytes reply_bytes = reply.Take();
-  if (pm != nullptr) {
-    pm->bytes_sent->Increment(reply_bytes.size());
-  }
-  emit(obs::TraceEvent::Kind::kServerReply, reply_bytes.size(),
-       result.ok() ? "" : result.status().message());
-  return reply_bytes;
+  server_->auditor_->Record(is_nfs                          ? obs::AuditKind::kNfs
+                            : call.prog == kSfsCtlProgram ? obs::AuditKind::kCtl
+                                                            : obs::AuditKind::kOther,
+                            id_, call.seqno, call.proc, verdict,
+                            is_nfs ? AuditFhDigestOfNfsArgs(call.args) : 0);
 }
 
 util::Result<util::Bytes> ServerConnection::HandleNfs(uint32_t proc,

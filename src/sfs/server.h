@@ -7,7 +7,10 @@
 //   Negotiate  — Figure 3 key exchange; establishes the session ciphers.
 //   Encrypted  — sealed RPCs: the NFS3 dialect (handles encrypted, every
 //                attribute carrying a lease) and the control program
-//                (root handle, user login).
+//                (root handle, user login).  Each opened call runs
+//                through the server's one rpc::Dispatcher dispatch step,
+//                the same one a plain-RPC connection uses, with this
+//                connection's handler.
 // Authserver-service connections instead speak the SRP password protocol
 // on behalf of sfskey (§2.4).
 //
@@ -114,12 +117,6 @@ class SfsServer {
 
   uint64_t connections_accepted() const { return next_connection_id_ - 1; }
 
-  // Channel requests answered from a connection's duplicate-request
-  // cache (retransmits deduplicated; the handler did not run again).
-  // Per-instance shim; the registry's server.drc_hits counter aggregates
-  // the same events.
-  uint64_t drc_hits() const { return drc_hits_; }
-
   obs::Registry* registry() { return registry_; }
 
   // The tamper-evident operation journal; nullptr when Options::audit is
@@ -154,18 +151,17 @@ class SfsServer {
   std::map<std::string, std::unique_ptr<readonly::ReplicaServer>> ro_replicas_;
   std::map<uint64_t, InvalidateFn> cache_callbacks_;
   uint64_t next_connection_id_ = 1;
-  uint64_t drc_hits_ = 0;
   std::unique_ptr<ServerAuditor> auditor_;
 
-  // Observability: shared across connections so the per-procedure server
-  // metrics aggregate the whole server (prefixes match the plain-RPC
-  // Dispatcher's, so NFS3 and SFS stacks report under the same names).
   obs::Registry* registry_;
-  obs::Tracer* tracer_;
   obs::SpanCollector* spans_;
-  obs::Counter* m_drc_hits_;
-  obs::ProcMetricsTable nfs_metrics_;  // "server.NFS3"
-  obs::ProcMetricsTable ctl_metrics_;  // "server.SFSCTL"
+  // The dispatch step every connection runs its decoded calls through,
+  // shared so its per-procedure metrics ("server.NFS3.*",
+  // "server.SFSCTL.*", the same names a plain-RPC Dispatcher uses)
+  // aggregate the whole server.  It holds the program names and metrics
+  // only; each connection supplies its handler and keeps its own reply
+  // cache.
+  rpc::Dispatcher dispatcher_;
 };
 
 // One accepted connection (one client <-> server TCP stream).
@@ -187,11 +183,11 @@ class ServerConnection : public sim::Service {
   util::Result<util::Bytes> HandleSrpStart(const util::Bytes& payload);
   util::Result<util::Bytes> HandleSrpFinish(const util::Bytes& payload);
 
-  // Dispatches one plaintext RPC (NFS or control program).  `wire_seqno`
-  // identifies the channel frame in trace events; `wire_ctx` receives the
-  // trace context the call carried (none when tracing is off).
-  util::Result<util::Bytes> DispatchRpc(const util::Bytes& rpc_message, uint32_t wire_seqno,
-                                        obs::SpanContext* wire_ctx);
+  // This connection's handler for the server's dispatcher: runs one NFS3
+  // or control call with the connection's credentials and journals it.
+  util::Result<util::Bytes> HandleCall(const rpc::Call& call);
+  // Appends the call's audit record with verdict `code`.
+  void Journal(const rpc::Call& call, util::ErrorCode code);
   util::Result<util::Bytes> HandleNfs(uint32_t proc, const util::Bytes& args);
   util::Result<util::Bytes> HandleCtl(uint32_t proc, const util::Bytes& args);
 
@@ -213,14 +209,15 @@ class ServerConnection : public sim::Service {
   std::set<uint32_t> seqnos_seen_;
   uint32_t max_seqno_ = 0;
 
-  // Duplicate-request cache for the secure channel: wire seqno -> the
-  // complete framed (sealed) reply.  Replaying the cached bytes keeps
-  // both keystreams untouched, so a retransmitted request advances
-  // neither cipher (see docs/PROTOCOL.md).  Each entry keeps the trace
-  // context of the request that produced it: a DRC hit records its span
-  // into the *original* call's trace (the retransmitted frame carries
-  // the same sealed bytes, so the context is unreadable at hit time —
-  // the cipher must not run twice).
+  // This connection's duplicate-request cache, the same rpc::ReplyCache a
+  // plain-RPC Dispatcher keeps, but consulted before the cipher: wire
+  // seqno -> the complete framed (sealed) reply.  Replaying the cached
+  // bytes keeps both keystreams untouched, so a retransmitted request
+  // advances neither cipher (see docs/PROTOCOL.md §10).  Each entry keeps
+  // the trace context of the request that produced it: a DRC hit records
+  // its span into the *original* call's trace (the retransmitted frame
+  // carries the same sealed bytes, so the context is unreadable at hit
+  // time — the cipher must not run twice).
   rpc::ReplyCache reply_cache_;
 
   // Handshake messages have no seqno; a redelivered copy is recognized by

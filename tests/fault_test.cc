@@ -42,6 +42,7 @@ class FaultTest : public ::testing::Test {
     SfsServer::Options server_options;
     server_options.location = "faulty.example.org";
     server_options.key_bits = kKeyBits;
+    server_options.registry = &server_registry_;
     server_ = std::make_unique<SfsServer>(&clock_, &costs_, server_options, &authserver_);
 
     // Anonymous users may mutate the exported tree: the workload then
@@ -94,9 +95,13 @@ class FaultTest : public ::testing::Test {
     return *mount;
   }
 
+  // Requests the server answered from its duplicate-request caches.
+  uint64_t DrcHits() const { return server_registry_.CounterValue("server.drc_hits"); }
+
   sim::Clock clock_;
   sim::CostModel costs_;
   auth::AuthServer authserver_;
+  obs::Registry server_registry_;  // The fixture server's metrics alone.
   std::unique_ptr<SfsServer> server_;
   std::unique_ptr<SfsClient> client_;
 };
@@ -109,7 +114,7 @@ TEST_F(FaultTest, CleanRunHasZeroRetransmissions) {
   ASSERT_NE(mount, nullptr);
   EXPECT_EQ(mount->link()->retransmissions(), 0u);
   EXPECT_EQ(mount->unmatched_replies(), 0u);
-  EXPECT_EQ(server_->drc_hits(), 0u);
+  EXPECT_EQ(DrcHits(), 0u);
   EXPECT_EQ(server_->fs()->creates_applied(), 8u);
   EXPECT_EQ(server_->fs()->removes_applied(), 4u);
 }
@@ -123,7 +128,7 @@ TEST_F(FaultTest, AcceptanceProfileDropAndDuplicate) {
   // The seed is fixed, so the run deterministically saw faults...
   EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
   EXPECT_GT(mount->link()->retransmissions(), 0u);
-  EXPECT_GT(server_->drc_hits(), 0u);
+  EXPECT_GT(DrcHits(), 0u);
   // ...yet every non-idempotent op executed exactly once (a re-executed
   // CREATE would also have surfaced as kExist above).
   EXPECT_EQ(server_->fs()->creates_applied(), 16u);
@@ -179,7 +184,7 @@ TEST_F(FaultTest, EveryRequestDuplicatedExecutesExactlyOnce) {
   SfsClient::MountPoint* mount = RunWorkload(6);
   ASSERT_NE(mount, nullptr);
   EXPECT_GT(lossy.duplicates(), 0u);
-  EXPECT_EQ(server_->drc_hits(), lossy.duplicates());
+  EXPECT_EQ(DrcHits(), lossy.duplicates());
   EXPECT_EQ(server_->fs()->creates_applied(), 6u);
   EXPECT_EQ(server_->fs()->removes_applied(), 3u);
 }
@@ -300,7 +305,7 @@ TEST_F(FaultTest, DroppedCommitRepliesRetransmitExactlyOnce) {
   // the COMMIT executed exactly once, not three times.
   EXPECT_EQ(dropper.dropped(), 2u);
   EXPECT_GE((*mount)->link()->retransmissions() - retrans_before, 2u);
-  EXPECT_GT(server_->drc_hits(), 0u);
+  EXPECT_GT(DrcHits(), 0u);
   EXPECT_EQ(server_->fs()->commits_applied() - commits_before, 1u);
   EXPECT_EQ(server_->fs()->unstable_bytes(), 0u);
   EXPECT_EQ((*mount)->cache()->commit_replays(), 0u);
@@ -345,7 +350,7 @@ TEST_F(FaultTest, WriteBehindWorkloadSurvivesSeededLoss) {
 
   // The seed deterministically injected faults and the stack masked them.
   EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-  EXPECT_GT((*mount)->link()->retransmissions() + server_->drc_hits(), 0u);
+  EXPECT_GT((*mount)->link()->retransmissions() + DrcHits(), 0u);
   // Exactly-once: server-side WRITE executions match the extents the
   // pipeline sent (a re-executed retransmit would double-count).
   EXPECT_EQ(server_->fs()->writes_applied() - writes_before,
@@ -363,7 +368,8 @@ TEST_F(FaultTest, WriteBehindWorkloadSurvivesSeededLoss) {
 
 TEST(RpcFaultTest, LossyLinkMasksFaultsWithExactlyOnceDispatch) {
   sim::Clock clock;
-  rpc::Dispatcher dispatcher;
+  obs::Registry server_registry;
+  rpc::Dispatcher dispatcher(&server_registry);
   uint64_t executions = 0;
   dispatcher.RegisterProgram(9, [&executions](uint32_t, const Bytes& args) {
     ++executions;
@@ -384,7 +390,7 @@ TEST(RpcFaultTest, LossyLinkMasksFaultsWithExactlyOnceDispatch) {
   // Faults occurred, retransmission masked them, and the handler still
   // ran exactly once per call.
   EXPECT_GT(link.retransmissions(), 0u);
-  EXPECT_GT(dispatcher.drc_hits(), 0u);
+  EXPECT_GT(server_registry.CounterValue("server.drc_hits"), 0u);
   EXPECT_EQ(executions, kCalls);
 }
 
@@ -395,7 +401,8 @@ TEST(RpcFaultTest, PipelinedWindowSweepMasksFaultsExactlyOnce) {
   for (uint32_t window : {2u, 4u, 8u}) {
     SCOPED_TRACE("window=" + std::to_string(window));
     sim::Clock clock;
-    rpc::Dispatcher dispatcher;
+    obs::Registry server_registry;
+    rpc::Dispatcher dispatcher(&server_registry);
     std::map<std::string, uint64_t> executions;
     dispatcher.RegisterProgram(9, [&executions](uint32_t, const Bytes& args) {
       ++executions[util::StringOf(args)];
@@ -440,13 +447,14 @@ TEST(RpcFaultTest, PipelinedWindowSweepMasksFaultsExactlyOnce) {
     // The seed deterministically injected faults and the window machinery
     // masked them.
     EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-    EXPECT_GT(link.retransmissions() + dispatcher.drc_hits(), 0u);
+    EXPECT_GT(link.retransmissions() + server_registry.CounterValue("server.drc_hits"), 0u);
   }
 }
 
 TEST(RpcFaultTest, CleanLinkNeverRetransmits) {
   sim::Clock clock;
-  rpc::Dispatcher dispatcher;
+  obs::Registry server_registry;
+  rpc::Dispatcher dispatcher(&server_registry);
   dispatcher.RegisterProgram(9, [](uint32_t, const Bytes& args) {
     return util::Result<Bytes>(args);
   });
@@ -458,7 +466,7 @@ TEST(RpcFaultTest, CleanLinkNeverRetransmits) {
   }
   EXPECT_EQ(link.retransmissions(), 0u);
   EXPECT_EQ(client.retransmissions(), 0u);
-  EXPECT_EQ(dispatcher.drc_hits(), 0u);
+  EXPECT_EQ(server_registry.CounterValue("server.drc_hits"), 0u);
 }
 
 }  // namespace

@@ -245,7 +245,10 @@ TEST(LinkTest, InterposerCanDropRequests) {
 
 class RpcFixture : public ::testing::Test {
  protected:
-  RpcFixture() : link_(&clock_, sim::LinkProfile::Local(), &dispatcher_), transport_(&link_) {
+  RpcFixture()
+      : dispatcher_(&server_registry_),
+        link_(&clock_, sim::LinkProfile::Local(), &dispatcher_),
+        transport_(&link_) {
     dispatcher_.RegisterProgram(77, [this](uint32_t proc, const Bytes& args) {
       return Handler(proc, args);
     });
@@ -264,6 +267,7 @@ class RpcFixture : public ::testing::Test {
   }
 
   sim::Clock clock_;
+  obs::Registry server_registry_;  // The dispatcher's metrics alone.
   rpc::Dispatcher dispatcher_;
   sim::Link link_;
   rpc::LinkTransport transport_;
@@ -316,7 +320,7 @@ TEST_F(RpcFixture, MismatchedXidDetected) {
   // Every reply was stale, so the client kept retransmitting; the
   // dispatcher answered the repeats from its duplicate-request cache.
   EXPECT_GT(client.retransmissions(), 0u);
-  EXPECT_GT(dispatcher_.drc_hits(), 0u);
+  EXPECT_GT(server_registry_.CounterValue("server.drc_hits"), 0u);
 }
 
 // --- Status / Result ---------------------------------------------------------------

@@ -336,6 +336,8 @@ TEST(SfsPipelineTest, CleanPipelinedWorkloadLeavesNoRetryResidue) {
     SfsServer::Options so;
     so.location = "pipeline.example.org";
     so.key_bits = 512;
+    obs::Registry server_registry;
+    so.registry = &server_registry;
     sfs::SfsServer server(&clock, &costs, so, &authserver);
     Fattr attr;
     nfs::Sattr chmod;
@@ -372,7 +374,7 @@ TEST(SfsPipelineTest, CleanPipelinedWorkloadLeavesNoRetryResidue) {
     EXPECT_EQ((*mount)->unmatched_replies(), 0u);
     EXPECT_EQ(clock.events()->size(), 0u) << "no event outlives the workload";
     EXPECT_EQ((*mount)->link()->retransmissions(), 0u);
-    EXPECT_EQ(server.drc_hits(), 0u);
+    EXPECT_EQ(server_registry.CounterValue("server.drc_hits"), 0u);
     EXPECT_EQ(server.fs()->creates_applied(), 8u);
   }
 }

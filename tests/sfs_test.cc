@@ -7,11 +7,15 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <vector>
 
 #include "src/auth/authserver.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/srp.h"
+#include "src/obs/auditlog.h"
+#include "src/rpc/rpc.h"
+#include "src/sfs/channel.h"
 #include "src/sfs/client.h"
 #include "src/sfs/idmap.h"
 #include "src/sfs/pathname.h"
@@ -449,12 +453,38 @@ class WireDigestInterposer : public sim::Interposer {
   int max_outstanding_ = 0;
 };
 
-// A fresh server and client, then one clean scripted session over a
-// pass-through interposer: mount, login, create, write, read, remove.
-// Returns the digest of every request and response byte.
-std::string PinnedSessionDigest(uint32_t window, size_t* messages, int* max_outstanding) {
+// SHA-1 of `text`, hex-encoded.
+std::string HexSha1(const std::string& text) {
+  return util::HexEncode(crypto::Sha1Digest(text));
+}
+
+// What one pinned session leaves behind, each as a SHA-1 digest.
+struct PinnedSession {
+  size_t messages = 0;
+  int max_outstanding = 0;
+  std::string wire;    // Every request and response byte, in link order.
+  std::string server;  // The server.* lines of the registry dump, sorted.
+  std::string spans;   // Name, layer, xid, seqno, wire_bytes, drc_hit,
+                       // error and start/end ns of every finished span.
+  std::string audit;   // The finalized audit-log bytes.
+};
+
+// A fresh server and client on a private registry, then one clean
+// scripted session over a pass-through interposer: mount, login, create,
+// write, read, remove.  With `spans`, span collection runs throughout,
+// so calls also carry their trace context on the wire.
+PinnedSession RunPinnedSession(uint32_t window, bool spans) {
   sim::Clock clock;
   sim::CostModel costs;
+  obs::Registry registry;
+  if (spans) {
+    registry.spans().Enable([&clock] { return clock.now_ns(); },
+                            [&clock](uint64_t out[obs::kTimeCategoryCount]) {
+                              for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
+                                out[i] = clock.categories().ns[i];
+                              }
+                            });
+  }
   auth::AuthServer authserver;
   const crypto::RabinPrivateKey& user_key = test_keys::CachedTestKey(77, kKeyBits);
   auth::PublicUserRecord record;
@@ -466,19 +496,22 @@ std::string PinnedSessionDigest(uint32_t window, size_t* messages, int* max_outs
   SfsServer::Options server_options;
   server_options.location = "sfs.lcs.mit.edu";
   server_options.key_bits = kKeyBits;
+  server_options.registry = &registry;
   SfsServer server(&clock, &costs, server_options, &authserver);
   SfsClient::Options client_options;
   client_options.ephemeral_key_bits = kKeyBits;
   client_options.window = window;
+  client_options.registry = &registry;
   SfsClient client(&clock, &costs, [&server](const std::string&) { return &server; },
                    client_options);
   WireDigestInterposer digest;
   client.set_interposer(&digest);
 
+  PinnedSession out;
   auto mount = client.Mount(server.Path());
   EXPECT_TRUE(mount.ok()) << mount.status().ToString();
   if (!mount.ok()) {
-    return "";
+    return out;
   }
   SfsClient::MountPoint* mp = mount.value();
   EXPECT_TRUE(mp->Authenticate(1000, [&user_key](const Bytes& auth_info,
@@ -516,29 +549,70 @@ std::string PinnedSessionDigest(uint32_t window, size_t* messages, int* max_outs
   EXPECT_EQ(data, content);
   EXPECT_EQ(mp->fs()->Remove(mp->root_fh(), "pinned.txt", alice), Stat::kOk);
   mp->Drain();
-  *messages = digest.messages();
-  *max_outstanding = digest.max_outstanding();
-  return digest.HexDigest();
+  server.auditor()->Finalize();
+
+  out.messages = digest.messages();
+  out.max_outstanding = digest.max_outstanding();
+  out.wire = digest.HexDigest();
+  std::string dump;
+  std::istringstream json(registry.SnapshotJson());
+  for (std::string line; std::getline(json, line);) {
+    if (line.find("\"server.") != std::string::npos) {
+      dump += line + "\n";
+    }
+  }
+  out.server = HexSha1(dump);
+  std::ostringstream span_list;
+  for (const obs::Span& span : registry.spans().finished()) {
+    span_list << span.name << '|' << span.layer << '|' << span.xid << '|' << span.seqno << '|'
+              << span.wire_bytes << '|' << span.drc_hit << '|' << span.error << '|'
+              << span.start_ns << '|' << span.end_ns << '\n';
+  }
+  out.spans = HexSha1(span_list.str());
+  out.audit = util::HexEncode(crypto::Sha1Digest(server.auditor()->log().bytes()));
+  return out;
 }
 
-// Refactoring oracle for the client call engine: a clean session must
-// put exactly these bytes on the wire, in this order.  Any change in
-// framing, sealing, xids, seqnos or call order breaks the digests; only
-// a deliberate wire-format change may update them.
+// Refactoring oracle for both call engines: a clean session must put
+// exactly these bytes on the wire, in this order, and leave exactly
+// these server metrics, spans and audit log.  Any change in framing,
+// sealing, xids, seqnos or call order breaks the wire digests; any
+// change in server dispatch accounting breaks the others.  Only a
+// deliberate wire-format or accounting change may update them.
 TEST(ChannelWireTest, MountSessionBytesPinned) {
-  const std::map<uint32_t, std::pair<size_t, std::string>> kPinned = {
-      {1, {26, "c8a88ebb62d4633e55b2c56897d4e8b50edf0807"}},
-      {4, {30, "c655338a94ffeec6be3794df91001dd7856381a2"}},
+  struct Pinned {
+    uint32_t window;
+    bool spans;
+    size_t messages;
+    const char* wire;
+    const char* server;
+    const char* spans_digest;  // nullptr: spans off, nothing to pin.
+    const char* audit;
   };
-  for (const auto& [window, pinned] : kPinned) {
-    SCOPED_TRACE("window " + std::to_string(window));
-    size_t messages = 0;
-    int max_outstanding = 0;
-    const std::string digest = PinnedSessionDigest(window, &messages, &max_outstanding);
-    EXPECT_EQ(messages, pinned.first);
-    EXPECT_EQ(digest, pinned.second);
+  const Pinned kPinned[] = {
+      {1, false, 26, "c8a88ebb62d4633e55b2c56897d4e8b50edf0807",
+       "2f897648bf7fd963f7963ea2708b5683bb0c07a7", nullptr,
+       "b8ac9b2b570e9d8a7ad045bc37598484a773cf1d"},
+      {4, false, 30, "c655338a94ffeec6be3794df91001dd7856381a2",
+       "1ffca5e00ffe21606b7ca573ea182712a8b97f15", nullptr,
+       "4c6e6813ed902943017b25c6cbe901acc9341cda"},
+      {4, true, 30, "0c14b1437c8f3b0741f08e0eaa7b0c9ce6d12232",
+       "b17ed3085ad774f11325864f0b5c1a8e5237e39b", "ca1470cce16ac92dd1217d2954d9fa0f7217c219",
+       "7a1b7bef9496a719c056240604c394ede0ccd63a"},
+  };
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE("window " + std::to_string(pinned.window) +
+                 (pinned.spans ? ", spans on" : ", spans off"));
+    const PinnedSession session = RunPinnedSession(pinned.window, pinned.spans);
+    EXPECT_EQ(session.messages, pinned.messages);
+    EXPECT_EQ(session.wire, pinned.wire);
+    EXPECT_EQ(session.server, pinned.server);
+    if (pinned.spans_digest != nullptr) {
+      EXPECT_EQ(session.spans, pinned.spans_digest);
+    }
+    EXPECT_EQ(session.audit, pinned.audit);
     // At window 4 the read-ahead calls were genuinely in flight together.
-    EXPECT_EQ(max_outstanding > 1, window > 1) << max_outstanding;
+    EXPECT_EQ(session.max_outstanding > 1, pinned.window > 1) << session.max_outstanding;
   }
 }
 
@@ -619,6 +693,7 @@ TEST_F(SfsTest, ReplayedChannelMessagesAreDeduplicatedNotReexecuted) {
   ASSERT_EQ((*mount)->fs()->GetAttr((*mount)->root_fh(), &attr), Stat::kOk);  // Recorded.
   replayer.ReplayNext();
   uint64_t creates_before = server_->fs()->creates_applied();
+  const uint64_t drc_hits_before = server_->registry()->CounterValue("server.drc_hits");
   // The attacker substitutes the recorded earlier request for this one.
   // The server recognizes the old wire seqno and replays its cached
   // reply without re-executing anything or advancing either keystream;
@@ -629,10 +704,161 @@ TEST_F(SfsTest, ReplayedChannelMessagesAreDeduplicatedNotReexecuted) {
   Stat s = (*mount)->fs()->Create((*mount)->root_fh(), "replayed-create",
                                   Credentials::User(0), nfs::Sattr{}, &fh, &attr);
   EXPECT_EQ(s, Stat::kOk);
-  EXPECT_GT(server_->drc_hits(), 0u);
+  EXPECT_GT(server_->registry()->CounterValue("server.drc_hits"), drc_hits_before);
   EXPECT_GT((*mount)->unmatched_replies(), 0u);
   EXPECT_GT((*mount)->link()->retransmissions(), 0u);
   EXPECT_EQ(server_->fs()->creates_applied(), creates_before + 1);
+}
+
+// --- One dispatch step under both transports ---------------------------------
+
+// A program no dispatcher registered: both dispatch paths answer an error
+// reply without running any handler, and the connection stays usable.
+constexpr uint32_t kUnregisteredProgram = 0x40000123;
+
+TEST_F(SfsTest, UnregisteredProgramGetsErrorReplyOnBothDispatchPaths) {
+  {
+    SCOPED_TRACE("plain rpc::Dispatcher");
+    sim::Clock clock;
+    obs::Registry registry;
+    rpc::Dispatcher dispatcher(&registry, &clock);
+    int executions = 0;
+    dispatcher.RegisterProgram(9, [&executions](uint32_t, const Bytes& args) {
+      ++executions;
+      return util::Result<Bytes>(args);
+    });
+    sim::Link link(&clock, sim::LinkProfile::Local(), &dispatcher, &registry);
+    rpc::LinkTransport transport(&link);
+    rpc::Client client(&transport, 9, &registry);
+    auto refused = client.Call(kUnregisteredProgram, 1, BytesOf("x"));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), util::ErrorCode::kNotFound);
+    EXPECT_EQ(executions, 0);
+    EXPECT_EQ(registry.CounterValue("server.PROG9.1.calls"), 0u);
+    auto served = client.Call(1, BytesOf("y"));
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served.value(), BytesOf("y"));
+    EXPECT_EQ(executions, 1);
+  }
+  {
+    SCOPED_TRACE("SFS channel");
+    auto mount = client_->Mount(server_->Path());
+    ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+    obs::Registry* registry = server_->registry();
+    const uint64_t nfs_calls = registry->CounterValue("server.NFS3.GETATTR.calls");
+    const uint64_t ctl_calls = registry->CounterValue("server.SFSCTL.IDTONAME.calls");
+    std::optional<util::Result<Bytes>> refused;
+    (*mount)->CallAsync(kUnregisteredProgram, 7, BytesOf("x"),
+                        [&refused](util::Result<Bytes> result) { refused = std::move(result); });
+    (*mount)->Drain();
+    ASSERT_TRUE(refused.has_value());
+    ASSERT_FALSE(refused->ok());
+    EXPECT_EQ(refused->status().code(), util::ErrorCode::kNotFound);
+    // Neither of the connection's programs ran.
+    EXPECT_EQ(registry->CounterValue("server.NFS3.GETATTR.calls"), nfs_calls);
+    EXPECT_EQ(registry->CounterValue("server.SFSCTL.IDTONAME.calls"), ctl_calls);
+    // The session survives: the next call opens at the next position.
+    EXPECT_EQ((*mount)->RemoteUserName(1000), std::optional<std::string>("kaminsky"));
+
+    // The journal still records the refused call, as kOther.
+    ASSERT_NE(server_->auditor(), nullptr);
+    server_->auditor()->Finalize();
+    obs::AuditVerifyResult verified = obs::VerifyAuditLog(
+        server_->auditor()->genesis_key(), server_->auditor()->log().bytes());
+    ASSERT_TRUE(verified.ok) << verified.detail;
+    int others = 0;
+    for (const obs::AuditRecordInfo& info : verified.records) {
+      if (info.record.kind == static_cast<uint32_t>(obs::AuditKind::kOther)) {
+        ++others;
+        EXPECT_EQ(info.record.proc, 7u);
+        EXPECT_EQ(info.record.verdict, static_cast<uint32_t>(util::ErrorCode::kNotFound));
+        EXPECT_NE(info.record.wire_seqno, 0u);
+      }
+    }
+    EXPECT_EQ(others, 1);
+  }
+}
+
+// One server connection keyed by hand (Figure 3's connect and negotiate),
+// so a test can seal any plaintext under the session's real keys.
+class HandKeyedChannel {
+ public:
+  HandKeyedChannel(SfsServer* server, crypto::Prng* prng)
+      : connection_(server->CreateConnection().connection) {
+    const SelfCertifyingPath path = server->Path();
+    xdr::Encoder hello;
+    hello.PutUint32(static_cast<uint32_t>(sfs::ServiceType::kFileServer));
+    hello.PutString(path.location);
+    hello.PutOpaque(path.host_id);
+    hello.PutString("");
+    auto hello_reply = Exchange(sfs::kMsgConnect, hello.Take());
+    xdr::Decoder hello_dec(hello_reply);
+    EXPECT_EQ(hello_dec.GetUint32().value(), static_cast<uint32_t>(sfs::kConnectOk));
+    auto server_key = crypto::RabinPublicKey::Deserialize(hello_dec.GetOpaque().value());
+    EXPECT_TRUE(server_key.ok());
+
+    auto negotiation = sfs::ClientNegotiation::Start(server_key.value(), prng, kKeyBits);
+    EXPECT_TRUE(negotiation.ok());
+    xdr::Encoder neg;
+    neg.PutOpaque(negotiation->ephemeral_key.public_key().Serialize());
+    neg.PutOpaque(negotiation->enc_kc1);
+    neg.PutOpaque(negotiation->enc_kc2);
+    neg.PutBool(false);  // Encrypted.
+    auto neg_reply = Exchange(sfs::kMsgNegotiate, neg.Take());
+    xdr::Decoder neg_dec(neg_reply);
+    EXPECT_FALSE(neg_dec.GetBool().value());
+    Bytes enc_ks1 = neg_dec.GetOpaque().value();
+    Bytes enc_ks2 = neg_dec.GetOpaque().value();
+    auto keys = negotiation->Finish(server_key.value(), enc_ks1, enc_ks2);
+    EXPECT_TRUE(keys.ok());
+    seal_ = std::make_unique<sfs::ChannelCipher>(keys->kcs);
+  }
+
+  // Seals `plaintext` as channel frame `seqno` and hands it to the server.
+  util::Result<Bytes> Send(uint32_t seqno, const Bytes& plaintext) {
+    xdr::Encoder body;
+    body.PutUint32(seqno);
+    body.PutOpaque(seal_->Seal(plaintext));
+    return connection_->Handle(sfs::FrameMessage(sfs::kMsgEncrypted, body.Take()));
+  }
+
+ private:
+  Bytes Exchange(uint32_t type, const Bytes& payload) {
+    auto reply = connection_->Handle(sfs::FrameMessage(type, payload));
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    auto unframed = sfs::Unframe(type, reply.ok() ? reply.value() : Bytes{});
+    EXPECT_TRUE(unframed.ok()) << unframed.status().ToString();
+    return unframed.ok() ? unframed.value() : Bytes{};
+  }
+
+  std::unique_ptr<sim::Service> connection_;
+  std::unique_ptr<sfs::ChannelCipher> seal_;
+};
+
+TEST_F(SfsTest, MacValidBodyThatFailsToDecodeKillsTheSession) {
+  crypto::Prng prng(uint64_t{0x5eed});
+  HandKeyedChannel channel(server_.get(), &prng);
+  // A well-formed GETROOT call (xid, prog, proc, args — the frame carries
+  // the seqno) is served...
+  xdr::Encoder getroot;
+  getroot.PutUint32(/*xid=*/1);
+  getroot.PutUint32(sfs::kSfsCtlProgram);
+  getroot.PutUint32(sfs::kCtlGetRoot);
+  getroot.PutOpaque({});
+  ASSERT_TRUE(channel.Send(1, getroot.Take()).ok());
+  // ...but a body whose MAC verifies and whose call does not decode is a
+  // protocol violation: the server refuses it and closes the session.
+  auto garbage = channel.Send(2, BytesOf("not an rpc call"));
+  ASSERT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.status().code(), util::ErrorCode::kInvalidArgument);
+  xdr::Encoder again;
+  again.PutUint32(/*xid=*/3);
+  again.PutUint32(sfs::kSfsCtlProgram);
+  again.PutUint32(sfs::kCtlGetRoot);
+  again.PutOpaque({});
+  auto after = channel.Send(3, again.Take());
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), util::ErrorCode::kUnavailable);
 }
 
 // --- Secure channel unit behavior -------------------------------------------
