@@ -22,8 +22,6 @@
 #include <mutex>
 #include <string>
 
-#include "src/obs/trace.h"
-
 namespace obs {
 
 // Where a nanosecond of virtual time was charged.  sim::Clock accounts
@@ -148,8 +146,8 @@ class Histogram {
   std::atomic<uint64_t> sum_ns_{0};
 };
 
-// Named metrics for one process (or one testbed).  Also owns the Tracer
-// through which the RPC layers publish structured trace events — one
+// Named metrics for one process (or one testbed).  Also owns the span
+// collector through which every layer records its per-call spans — one
 // handle threads the whole observability subsystem through a stack.
 class SpanCollector;
 
@@ -178,8 +176,6 @@ class Registry {
   // Human-readable dump, one metric per line.
   std::string SnapshotText() const;
 
-  Tracer& tracer() { return tracer_; }
-
   // The registry's span collector (src/obs/span.h); disabled until a
   // harness calls spans().Enable() with clock callbacks.  Held by
   // pointer so this header need not see the span types.
@@ -194,7 +190,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  Tracer tracer_;
   std::unique_ptr<SpanCollector> spans_;
 };
 

@@ -275,6 +275,15 @@ std::string FormatSpanTree(const std::vector<Span>& spans, uint64_t trace_id) {
     out << " " << span.duration_ns() / 1000 << "us"
         << " (" << span.start_ns / 1000 << "us..+" << span.duration_ns() / 1000
         << ")";
+    if (span.xid != 0) {
+      out << " xid=" << span.xid;
+    }
+    if (span.seqno != 0) {
+      out << " seq=" << span.seqno;
+    }
+    if (span.wire_bytes != 0) {
+      out << " " << span.wire_bytes << "B";
+    }
     if (span.retransmits > 0) {
       out << " retransmits=" << span.retransmits;
     }

@@ -62,7 +62,6 @@ Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock, Naming 
     : naming_(naming),
       registry_(registry != nullptr ? registry : obs::Registry::Default()),
       clock_(clock),
-      tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
       m_drc_hits_(registry_->GetCounter("server.drc_hits")) {}
 
@@ -78,35 +77,7 @@ void Dispatcher::RegisterProgram(uint32_t prog, ProgramHandler handler, ProcName
   program.metrics.Init(registry_, "server." + program.name);
 }
 
-std::string Dispatcher::ProcNameFor(const Program* program, uint32_t proc) const {
-  if (program == nullptr) {
-    return "";
-  }
-  return program->namer ? program->namer(proc) : std::to_string(proc);
-}
-
 uint64_t Dispatcher::NowNs() const { return clock_ != nullptr ? clock_->now_ns() : 0; }
-
-void Dispatcher::Emit(obs::TraceEvent::Kind kind, const Call& call, const std::string& proc_name,
-                      uint64_t wire_bytes, uint64_t t_send_ns, const std::string& note) {
-  if (!tracer_->active()) {
-    return;
-  }
-  obs::TraceEvent event;
-  event.kind = kind;
-  event.layer = naming_.layer;
-  event.prog = call.prog;
-  event.proc = call.proc;
-  event.proc_name = proc_name;
-  event.xid = call.xid;
-  event.seqno = call.seqno;
-  event.wire_bytes = wire_bytes;
-  event.t_send_ns = t_send_ns;
-  event.t_recv_ns = NowNs();
-  event.drc_hit = kind == obs::TraceEvent::Kind::kServerDrcHit;
-  event.note = note;
-  tracer_->Emit(event);
-}
 
 util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
   auto call = DecodeCall(request);
@@ -146,12 +117,12 @@ util::Bytes Dispatcher::Dispatch(const Call& call, const CallHandler& handler) {
   }
   Program& program = it->second;
   const uint64_t now_ns = NowNs();
-  const std::string proc_name = ProcNameFor(&program, call.proc);
+  const std::string proc_name =
+      program.namer ? program.namer(call.proc) : std::to_string(call.proc);
   if (util::GetLogLevel() <= util::LogLevel::kDebug) {
     SFS_LOG(kDebug) << naming_.layer << " call prog=" << call.prog << " proc=" << proc_name
                     << " args=" << call.args.size() << "B";
   }
-  Emit(obs::TraceEvent::Kind::kServerDispatch, call, proc_name, call.wire_bytes, now_ns, "");
 
   obs::ProcMetrics* pm = program.metrics.Get(call.proc, proc_name);
   pm->calls->Increment();
@@ -193,21 +164,15 @@ util::Bytes Dispatcher::Dispatch(const Call& call, const CallHandler& handler) {
   }
   util::Bytes reply_bytes = reply.Take();
   pm->bytes_sent->Increment(reply_bytes.size());
-  Emit(obs::TraceEvent::Kind::kServerReply, call, proc_name, reply_bytes.size(), now_ns,
-       result.status().message());
   return reply_bytes;
 }
 
 void Dispatcher::RecordDrcHit(const Call& call, uint64_t reply_bytes) {
   m_drc_hits_->Increment();
-  const uint64_t now_ns = NowNs();
-  auto it = programs_.find(call.prog);
-  Emit(obs::TraceEvent::Kind::kServerDrcHit, call,
-       ProcNameFor(it == programs_.end() ? nullptr : &it->second, call.proc), reply_bytes,
-       now_ns, "replayed cached reply");
   if (spans_->enabled()) {
     // Zero-duration marker: the retransmitted copy was answered from the
     // cache, parented into the original call's trace.
+    const uint64_t now_ns = NowNs();
     obs::Span span;
     span.name = std::string(naming_.span_prefix) + "drc_hit";
     span.layer = "server";
@@ -228,7 +193,6 @@ Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
       naming_(transport->naming()),
       prog_(prog),
       registry_(registry != nullptr ? registry : obs::Registry::Default()),
-      tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
       m_unmatched_replies_(registry_->GetCounter("rpc.client.unmatched_replies")),
       m_window_occupancy_sum_(registry_->GetCounter("rpc.client.window_occupancy_sum")),
@@ -284,27 +248,6 @@ util::Result<util::Bytes> Client::Call(uint32_t prog, uint32_t proc,
     PumpOnce();
   }
   return std::move(*out);
-}
-
-void Client::EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
-                       uint64_t wire_bytes, const std::string& note) {
-  if (!tracer_->active()) {
-    return;
-  }
-  obs::TraceEvent event;
-  event.kind = kind;
-  event.layer = naming_.layer;
-  event.prog = call.prog;
-  event.proc = call.proc;
-  event.proc_name = call.proc_name;
-  event.xid = call.xid;
-  event.seqno = call.seqno;
-  event.wire_bytes = wire_bytes;
-  event.t_send_ns = call.t_call_ns;
-  event.t_recv_ns = clock_->now_ns();
-  event.attempt = call.attempt;
-  event.note = note;
-  tracer_->Emit(event);
 }
 
 void Client::Transmit(PendingCall* call) {
@@ -371,7 +314,6 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args,
 
   uint32_t xid = next_xid_++;
   uint32_t seqno = next_seqno_++;
-  ++calls_made_;
   auto program = programs_.find(prog);
   if (program == programs_.end()) {
     RegisterProgram(prog);
@@ -406,9 +348,6 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args,
   PendingCall call;
   call.xid = xid;
   call.seqno = seqno;
-  call.prog = prog;
-  call.proc = proc;
-  call.proc_name = proc_name;
   call.span_id = span_id;
   call.wire = enc.Take();
   if (obs::Span* s = spans_->Find(span_id)) {
@@ -416,14 +355,13 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args,
   }
   call.t_call_ns = clock_->now_ns();
   call.rto_ns = transport_->retry_policy().initial_rto_ns;
-  call.pm = program->second.metrics.Get(proc, call.proc_name);
+  call.pm = program->second.metrics.Get(proc, proc_name);
   call.pm->calls->Increment();
   call.done = std::move(done);
 
   auto [it, inserted] = pending_.emplace(xid, std::move(call));
   (void)inserted;
   g_in_flight_->Add(1);
-  EmitEvent(obs::TraceEvent::Kind::kClientCall, it->second, it->second.wire.size(), "");
   Transmit(&it->second);
   m_window_occupancy_sum_->Increment(pending_.size());
   m_window_samples_->Increment();
@@ -495,14 +433,11 @@ void Client::OnDeadline(PendingCall* call) {
   call->rto_ns = std::min(call->rto_ns * policy.backoff_factor, policy.max_rto_ns);
   // Timer resends count as link retransmissions (we cannot tell loss
   // from reordering here).
-  ++retransmissions_;
   transport_->NoteRetransmission();
   call->pm->retransmits->Increment();
   if (obs::Span* s = spans_->Find(call->span_id)) {
     ++s->retransmits;
   }
-  EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, *call, call->wire.size(),
-            "retransmission timer expired");
   Transmit(call);
 }
 
@@ -514,26 +449,11 @@ void Client::OnDelivery(sim::Delivery delivery) {
     token_xid = tok->second;
     token_to_xid_.erase(tok);
   }
-  auto count_unmatched = [&](uint32_t xid, const std::string& note) {
-    ++unmatched_replies_;
-    m_unmatched_replies_->Increment();
-    if (tracer_->active()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kClientStaleReply;
-      event.layer = naming_.layer;
-      event.prog = prog_;
-      event.xid = xid;
-      event.wire_bytes = delivery.response.size();
-      event.t_recv_ns = clock_->now_ns();
-      event.note = note;
-      tracer_->Emit(event);
-    }
-  };
   if (delivery.rejected) {
     // The transport refused the reply (stale seqno, bad MAC): discard it
     // and let the timer resend; the call remembers why, in case no
     // acceptable reply ever arrives.
-    count_unmatched(token_xid, delivery.status.message());
+    m_unmatched_replies_->Increment();
     if (auto it = pending_.find(token_xid); it != pending_.end()) {
       it->second.rejection = delivery.status;
     }
@@ -549,14 +469,14 @@ void Client::OnDelivery(sim::Delivery delivery) {
   xdr::Decoder dec(std::move(delivery.response));
   auto reply_xid = dec.GetUint32();
   if (!reply_xid.ok()) {
-    count_unmatched(0, "truncated reply header");
+    m_unmatched_replies_->Increment();  // Truncated reply header.
     return;
   }
   auto it = pending_.find(reply_xid.value());
   if (it == pending_.end()) {
     // No outstanding call wants this xid: a late duplicate of an already
     // completed call (retransmit raced the reply).  Counted, not silent.
-    count_unmatched(reply_xid.value(), "no outstanding call for xid");
+    m_unmatched_replies_->Increment();
     return;
   }
 
@@ -564,13 +484,13 @@ void Client::OnDelivery(sim::Delivery delivery) {
   if (!status_word.ok()) {
     // Matched but unparseable: discard and let the timer resend; the
     // server DRC replays the intact reply.
-    count_unmatched(reply_xid.value(), "truncated reply body");
+    m_unmatched_replies_->Increment();
     return;
   }
   if (status_word.value() == kReplyAccepted) {
     auto results = dec.GetOpaque();
     if (!results.ok() || !dec.AtEnd()) {
-      count_unmatched(reply_xid.value(), "malformed accepted reply");
+      m_unmatched_replies_->Increment();  // Malformed accepted reply.
       return;
     }
     Complete(reply_xid.value(), std::move(results).value());
@@ -579,7 +499,7 @@ void Client::OnDelivery(sim::Delivery delivery) {
   auto code = dec.GetUint32();
   auto message = dec.GetString();
   if (!code.ok() || !message.ok()) {
-    count_unmatched(reply_xid.value(), "malformed error reply");
+    m_unmatched_replies_->Increment();  // Malformed error reply.
     return;
   }
   uint32_t clamped = code.value();
@@ -610,7 +530,6 @@ void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
   }
   if (result.ok()) {
     call.pm->bytes_received->Increment(result.value().size());
-    EmitEvent(obs::TraceEvent::Kind::kClientReply, call, result.value().size(), "");
   } else {
     call.pm->errors->Increment();
   }

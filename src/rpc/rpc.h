@@ -2,23 +2,22 @@
 //
 // Mirrors the paper's implementation structure (§3.2): programs
 // communicate via RPC with XDR-described messages, and the library can
-// pretty-print traffic for debugging.  A Client issues calls through a
-// Transport: a sim::Link directly (LinkTransport, plain NFS), or the SFS
-// secure channel (sfs::ChannelTransport, which seals each call into one
-// channel frame).  One Client may carry several programs (an SFS mount's
+// pretty-print traffic for debugging (each call and dispatch is a span
+// carrying its xid, seqno and wire bytes; obs::FormatSpanTree prints
+// them).  A Client issues calls through a Transport: a sim::Link directly
+// (LinkTransport, plain NFS), or the SFS secure channel
+// (sfs::ChannelTransport, which seals each call into one channel frame).  One Client may carry several programs (an SFS mount's
 // NFS3 and SFSCTL) on one window and one xid and seqno stream.
 //
 // One dispatch step serves both transports.  DecodeCall decodes a call
 // (and its trace context) and Dispatcher::Dispatch runs it: the dispatch
-// span, the trace events, the per-procedure server.* metrics and the
-// reply encoding.  As the sim::Service of a plain connection, a
-// Dispatcher's Handle is decode -> reply cache -> Dispatch with the
-// registered handler.  The SFS server (sfs::ServerConnection) runs the
+// span, the per-procedure server.* metrics and the reply encoding.  As
+// the sim::Service of a plain connection, a Dispatcher's Handle is
+// decode -> reply cache -> Dispatch with the registered handler.  The SFS server (sfs::ServerConnection) runs the
 // same steps around its cipher: unframe -> reply cache -> open -> decode
 // (the frame supplies the seqno) -> Dispatch with the connection's
-// handler -> seal -> frame.  A Naming value names either end's spans and
-// trace layer: "rpc." / "rpc" for plain RPC, "sfs." / "sfs.chan" on the
-// channel.
+// handler -> seal -> frame.  A Naming value names either end's spans:
+// "rpc." / "rpc" for plain RPC, "sfs." / "sfs.chan" on the channel.
 //
 // Wire format (XDR):
 //   call:  uint32 xid, uint32 seqno, uint32 prog, uint32 proc, opaque args
@@ -113,7 +112,7 @@ class ReplyCache {
 // under their own names: the client's call spans are
 // "<span_prefix>call.<PROC>" in span layer `layer`; the server's are
 // "<span_prefix>dispatch.<PROC>" and "<span_prefix>drc_hit" in layer
-// "server"; `layer` also labels both ends' trace events.
+// "server".
 struct Naming {
   const char* layer;
   const char* span_prefix;
@@ -145,15 +144,15 @@ using ProgramHandler =
 // Handler a caller of Dispatcher::Dispatch supplies for one call.
 using CallHandler = std::function<util::Result<util::Bytes>(const Call& call)>;
 
-// Optional proc-name resolver, used by the traffic pretty-printer.
+// Optional proc-name resolver, used for metric and span names.
 using ProcNamer = std::function<std::string(uint32_t proc)>;
 
 class Dispatcher : public sim::Service {
  public:
   // `registry` receives the server.* counters, per-procedure ops metrics
-  // and trace events; nullptr selects obs::Registry::Default().  `clock`
-  // (optional) timestamps trace events and spans and feeds per-procedure
-  // handler latency histograms.  `naming` names the spans and trace layer.
+  // and spans; nullptr selects obs::Registry::Default().  `clock`
+  // (optional) timestamps spans and feeds per-procedure handler latency
+  // histograms.  `naming` names the spans.
   explicit Dispatcher(obs::Registry* registry = nullptr, const sim::Clock* clock = nullptr,
                       Naming naming = kPlainNaming);
 
@@ -171,18 +170,17 @@ class Dispatcher : public sim::Service {
   util::Result<util::Bytes> Handle(const util::Bytes& request) override;
 
   // The dispatch step: runs one decoded call under its
-  // "<span_prefix>dispatch.<PROC>" span, with the dispatch and reply
-  // trace events and the per-procedure server.* metrics, and returns the
-  // encoded reply.  `handler` runs the call (default: the program's
-  // registered handler).  A call naming an unregistered program gets a
-  // kNotFound error reply and runs nothing.
+  // "<span_prefix>dispatch.<PROC>" span, with the per-procedure server.*
+  // metrics, and returns the encoded reply.  `handler` runs the call
+  // (default: the program's registered handler).  A call naming an
+  // unregistered program gets a kNotFound error reply and runs nothing.
   util::Bytes Dispatch(const Call& call, const CallHandler& handler = nullptr);
 
   // Records one request answered from a reply cache without running its
-  // handler: the server.drc_hits counter, a kServerDrcHit trace event and
-  // a zero-length "<span_prefix>drc_hit" span parented at `call.ctx`
-  // (else the ambient span).  `call` holds whatever of the request is
-  // readable (a sealed channel frame yields only its seqno).
+  // handler: the server.drc_hits counter and a zero-length
+  // "<span_prefix>drc_hit" span parented at `call.ctx` (else the ambient
+  // span).  `call` holds whatever of the request is readable (a sealed
+  // channel frame yields only its seqno).
   void RecordDrcHit(const Call& call, uint64_t reply_bytes);
 
  private:
@@ -193,11 +191,7 @@ class Dispatcher : public sim::Service {
     obs::ProcMetricsTable metrics;
   };
 
-  // "" for an unregistered program.
-  std::string ProcNameFor(const Program* program, uint32_t proc) const;
   uint64_t NowNs() const;
-  void Emit(obs::TraceEvent::Kind kind, const Call& call, const std::string& proc_name,
-            uint64_t wire_bytes, uint64_t t_send_ns, const std::string& note);
 
   const Naming naming_;
   std::map<uint32_t, Program> programs_;
@@ -207,7 +201,6 @@ class Dispatcher : public sim::Service {
 
   obs::Registry* registry_;
   const sim::Clock* clock_;
-  obs::Tracer* tracer_;
   obs::SpanCollector* spans_;
   obs::Counter* m_drc_hits_;
 };
@@ -260,10 +253,10 @@ class LinkTransport : public Transport {
 class Client {
  public:
   // `registry` receives the rpc.client.* counters, the per-procedure
-  // metric family ("rpc.client.<prog_name>.<PROC>.*") and trace events;
-  // nullptr selects obs::Registry::Default().  `prog_name` labels the
-  // metric names (empty derives "PROG<prog>"); `namer` resolves
-  // procedure numbers for metric names and trace events.
+  // metric family ("rpc.client.<prog_name>.<PROC>.*") and the call
+  // spans; nullptr selects obs::Registry::Default().  `prog_name` labels
+  // the metric names (empty derives "PROG<prog>"); `namer` resolves
+  // procedure numbers for metric and span names.
   Client(Transport* transport, uint32_t prog, obs::Registry* registry = nullptr,
          std::string prog_name = "", ProcNamer namer = nullptr);
   ~Client();
@@ -317,15 +310,6 @@ class Client {
   uint32_t window() const { return window_; }
   uint64_t in_flight() const { return pending_.size(); }
 
-  uint64_t calls_made() const { return calls_made_; }
-  // Calls resent because their retransmission timer expired.  The same
-  // resends feed the link's link.retransmissions counter.
-  uint64_t retransmissions() const { return retransmissions_; }
-  // Replies that matched no outstanding call (late duplicates from
-  // reordering) or that the transport refused; aggregated in
-  // rpc.client.unmatched_replies.
-  uint64_t unmatched_replies() const { return unmatched_replies_; }
-
  private:
   struct Program {
     ProcNamer namer;
@@ -335,9 +319,6 @@ class Client {
   struct PendingCall {
     uint32_t xid = 0;
     uint32_t seqno = 0;
-    uint32_t prog = 0;
-    uint32_t proc = 0;
-    std::string proc_name;
     util::Bytes wire;  // Encoded once; retransmissions resend these bytes.
     uint64_t t_call_ns = 0;
     uint64_t deadline_ns = 0;
@@ -365,8 +346,6 @@ class Client {
   void ArmTimer(PendingCall* call);
   // Removes the call from the window and runs its callback.
   void Complete(uint32_t xid, util::Result<util::Bytes> result);
-  void EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
-                 uint64_t wire_bytes, const std::string& note);
 
   Transport* transport_;
   sim::Clock* clock_;
@@ -377,9 +356,6 @@ class Client {
   uint32_t next_seqno_ = 1;
   uint32_t window_ = 1;
   bool event_driven_ = false;
-  uint64_t calls_made_ = 0;
-  uint64_t retransmissions_ = 0;
-  uint64_t unmatched_replies_ = 0;
 
   // Outstanding calls by xid, plus the submission-token map used to
   // attribute service-level error deliveries and to ask the transport
@@ -388,8 +364,9 @@ class Client {
   std::map<uint64_t, uint32_t> token_to_xid_;
 
   obs::Registry* registry_;
-  obs::Tracer* tracer_;
   obs::SpanCollector* spans_;
+  // Replies that matched no outstanding call (late duplicates from
+  // reordering) or that the transport refused.
   obs::Counter* m_unmatched_replies_;
   obs::Counter* m_window_occupancy_sum_;
   obs::Counter* m_window_samples_;

@@ -43,9 +43,9 @@
 
 namespace sfs {
 
-// The channel's span and trace-event names at both ends: the client's
-// "sfs.call.<PROC>" and the server's "sfs.dispatch.<PROC>" and
-// "sfs.drc_hit", with trace events in layer "sfs.chan".
+// The channel's span names at both ends: the client's "sfs.call.<PROC>"
+// in layer "sfs.chan" and the server's "sfs.dispatch.<PROC>" and
+// "sfs.drc_hit".
 inline constexpr rpc::Naming kChannelNaming{"sfs.chan", "sfs."};
 
 // Frames one connection message: {type, opaque payload}.

@@ -66,8 +66,8 @@ class SfsClient {
     // WRITE(UNSTABLE) batches + one COMMIT at close (replayed if the
     // server's write verifier changed).  Off = write-through.
     bool write_behind = false;
-    // Receives the link.* / rpc.client.* metrics and trace events for
-    // every mount; nullptr selects obs::Registry::Default().
+    // Receives the link.* / rpc.client.* metrics and spans for every
+    // mount; nullptr selects obs::Registry::Default().
     obs::Registry* registry = nullptr;
   };
 
@@ -129,10 +129,6 @@ class SfsClient {
     void Drain() { rpc_->Drain(); }
     uint32_t window() const { return rpc_->window(); }
     uint64_t in_flight() const { return rpc_->in_flight(); }
-    // Replies that matched no outstanding call or that the channel
-    // refused (late duplicates, tampering); aggregated in
-    // rpc.client.unmatched_replies.
-    uint64_t unmatched_replies() const { return rpc_->unmatched_replies(); }
 
    private:
     friend class SfsClient;

@@ -48,9 +48,9 @@ enum CtlProc : uint32_t {
   kCtlLogin = 2,    // {seqno, AuthMsg} -> {authno}
 };
 
-// Names for the control program's procedures, for metric names and the
-// RPC trace pretty-printer.  Covers the libsfs ID-mapping procedures
-// declared in idmap.h (numbers 10/11) without depending on that header.
+// Names for the control program's procedures, for metric and span
+// names.  Covers the libsfs ID-mapping procedures declared in idmap.h
+// (numbers 10/11) without depending on that header.
 inline const char* CtlProcName(uint32_t proc) {
   switch (proc) {
     case kCtlGetRoot:

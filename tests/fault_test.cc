@@ -56,6 +56,7 @@ class FaultTest : public ::testing::Test {
 
     SfsClient::Options client_options;
     client_options.ephemeral_key_bits = kKeyBits;
+    client_options.registry = &client_registry_;
     client_ = std::make_unique<SfsClient>(
         &clock_, &costs_,
         [this](const std::string&) { return server_.get(); }, client_options);
@@ -102,6 +103,7 @@ class FaultTest : public ::testing::Test {
   sim::CostModel costs_;
   auth::AuthServer authserver_;
   obs::Registry server_registry_;  // The fixture server's metrics alone.
+  obs::Registry client_registry_;  // The fixture client's metrics alone.
   std::unique_ptr<SfsServer> server_;
   std::unique_ptr<SfsClient> client_;
 };
@@ -113,7 +115,7 @@ TEST_F(FaultTest, CleanRunHasZeroRetransmissions) {
   SfsClient::MountPoint* mount = RunWorkload(8);
   ASSERT_NE(mount, nullptr);
   EXPECT_EQ(mount->link()->retransmissions(), 0u);
-  EXPECT_EQ(mount->unmatched_replies(), 0u);
+  EXPECT_EQ(client_registry_.CounterValue("rpc.client.unmatched_replies"), 0u);
   EXPECT_EQ(DrcHits(), 0u);
   EXPECT_EQ(server_->fs()->creates_applied(), 8u);
   EXPECT_EQ(server_->fs()->removes_applied(), 4u);
@@ -460,12 +462,13 @@ TEST(RpcFaultTest, CleanLinkNeverRetransmits) {
   });
   sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher);
   rpc::LinkTransport transport(&link);
-  rpc::Client client(&transport, 9);
+  obs::Registry client_registry;
+  rpc::Client client(&transport, 9, &client_registry);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(client.Call(1, BytesOf("x")).ok());
   }
   EXPECT_EQ(link.retransmissions(), 0u);
-  EXPECT_EQ(client.retransmissions(), 0u);
+  EXPECT_EQ(client_registry.CounterValue("rpc.client.PROG9.1.retransmits"), 0u);
   EXPECT_EQ(server_registry.CounterValue("server.drc_hits"), 0u);
 }
 

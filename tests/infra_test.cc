@@ -274,11 +274,12 @@ class RpcFixture : public ::testing::Test {
 };
 
 TEST_F(RpcFixture, CallAndReply) {
-  rpc::Client client(&transport_, 77);
+  obs::Registry registry;  // The client's metrics alone.
+  rpc::Client client(&transport_, 77, &registry);
   auto reply = client.Call(1, BytesOf("abc"));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(util::StringOf(reply.value()), "cba");
-  EXPECT_EQ(client.calls_made(), 1u);
+  EXPECT_EQ(registry.CounterValue("rpc.client.PROG77.1.calls"), 1u);
 }
 
 TEST_F(RpcFixture, HandlerErrorsPropagateWithCode) {
@@ -314,12 +315,13 @@ class XidRewriter : public sim::Interposer {
 TEST_F(RpcFixture, MismatchedXidDetected) {
   XidRewriter rewriter;
   link_.set_interposer(&rewriter);
-  rpc::Client client(&transport_, 77);
+  obs::Registry registry;  // The client's metrics alone.
+  rpc::Client client(&transport_, 77, &registry);
   auto reply = client.Call(1, BytesOf("x"));
   EXPECT_EQ(reply.status().code(), util::ErrorCode::kUnavailable);
   // Every reply was stale, so the client kept retransmitting; the
   // dispatcher answered the repeats from its duplicate-request cache.
-  EXPECT_GT(client.retransmissions(), 0u);
+  EXPECT_GT(registry.CounterValue("rpc.client.PROG77.1.retransmits"), 0u);
   EXPECT_GT(server_registry_.CounterValue("server.drc_hits"), 0u);
 }
 

@@ -1,11 +1,11 @@
 // Observability subsystem: the metrics registry, the per-procedure
-// families, and — the important part — the RPC trace layer.  A full SFS
-// mount runs through a seeded LossyInterposer and the ring-buffer trace
-// must *show* exactly-once application-level delivery: a retransmitted
-// xid appears once (and only once) as a kClientReply, every wire seqno
-// is dispatched to a handler exactly once, and the extra copies surface
-// as kServerDrcHit events.  Counter equality alone would not distinguish
-// "deduplicated" from "never duplicated"; the trace does.
+// families, and — the important part — the per-call spans.  A full SFS
+// mount runs through a seeded LossyInterposer and its spans must *show*
+// exactly-once application-level delivery: a retransmitted xid has one
+// sfs.call span that ended without error, every wire seqno has exactly
+// one sfs.dispatch span, and the extra copies surface as sfs.drc_hit
+// spans.  Counter equality alone would not distinguish "deduplicated"
+// from "never duplicated"; the spans do.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -17,7 +17,6 @@
 #include "src/auth/authserver.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/sfs/client.h"
 #include "src/sfs/server.h"
 #include "src/sim/clock.h"
@@ -186,8 +185,17 @@ class JsonChecker {
 
 class ObsTest : public ::testing::Test {
  protected:
-  ObsTest() : sink_(/*capacity=*/1 << 16) {
-    registry_.tracer().AddSink(&sink_);
+  ObsTest() {
+    // Spans are the per-call record the exactly-once proofs read; wired
+    // to the shared virtual clock before any mount.
+    registry_.spans().Enable(
+        [this] { return clock_.now_ns(); },
+        [this](uint64_t out[obs::kTimeCategoryCount]) {
+          const sim::Clock::CategorySnapshot& charged = clock_.categories();
+          for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
+            out[i] = charged.ns[i];
+          }
+        });
 
     SfsServer::Options server_options;
     server_options.location = "obs.example.org";
@@ -243,19 +251,24 @@ class ObsTest : public ::testing::Test {
     return *mount;
   }
 
-  // Secure-channel events only (the SFS client/server layers).
-  std::vector<obs::TraceEvent> ChanEvents() {
-    std::vector<obs::TraceEvent> out;
-    for (const obs::TraceEvent& event : sink_.Events()) {
-      if (std::string(event.layer) == "sfs.chan") {
-        out.push_back(event);
-      }
+  // The secure channel's spans at both ends: the client's call per xid,
+  // the server's handler execution per seqno, and its duplicate-cache
+  // replays.
+  enum class ChanSpan { kCall, kDispatch, kDrcHit, kOther };
+  static ChanSpan Classify(const obs::Span& span) {
+    if (span.name.rfind("sfs.call.", 0) == 0) {
+      return ChanSpan::kCall;
     }
-    return out;
+    if (std::string(span.layer) != "server") {
+      return ChanSpan::kOther;
+    }
+    if (span.name.rfind("sfs.dispatch.", 0) == 0) {
+      return ChanSpan::kDispatch;
+    }
+    return span.name == "sfs.drc_hit" ? ChanSpan::kDrcHit : ChanSpan::kOther;
   }
 
   obs::Registry registry_;
-  obs::RingBufferSink sink_;
   sim::Clock clock_;
   sim::CostModel costs_;
   auth::AuthServer authserver_;
@@ -290,54 +303,21 @@ TEST(RegistryTest, CountersAndHistograms) {
   EXPECT_NE(text.find("test.latency_ns"), std::string::npos);
 }
 
-TEST(TracerTest, InactiveWithoutSinksAndPrettyPrinterFormats) {
-  obs::Tracer tracer;
-  EXPECT_FALSE(tracer.active());
-  obs::RingBufferSink sink(4);
-  tracer.AddSink(&sink);
-  EXPECT_TRUE(tracer.active());
-
-  obs::TraceEvent event;
-  event.kind = obs::TraceEvent::Kind::kClientRetransmit;
-  event.layer = "rpc";
-  event.proc_name = "LOOKUP";
-  event.xid = 7;
-  event.seqno = 9;
-  event.attempt = 2;
-  for (int i = 0; i < 6; ++i) {  // Overflow a 4-slot ring.
-    tracer.Emit(event);
-  }
-  EXPECT_EQ(sink.total_events(), 6u);
-  EXPECT_EQ(sink.Events().size(), 4u);
-  EXPECT_EQ(sink.dropped(), 2u);
-
-  std::string line = obs::PrettyPrintSink::Format(event);
-  EXPECT_NE(line.find("LOOKUP"), std::string::npos);
-  EXPECT_NE(line.find("xid=7"), std::string::npos);
-  EXPECT_NE(line.find("retransmit"), std::string::npos);
-
-  tracer.RemoveSink(&sink);
-  EXPECT_FALSE(tracer.active());
-}
-
 // --- Clean run: every call traced, no retransmission noise -------------------
 
 TEST_F(ObsTest, CleanRunTracesEveryCallExactlyOnce) {
   ASSERT_NE(RunWorkload(4), nullptr);
   std::map<uint32_t, int> calls, replies, retransmits;
-  for (const obs::TraceEvent& event : ChanEvents()) {
-    switch (event.kind) {
-      case obs::TraceEvent::Kind::kClientCall:
-        ++calls[event.xid];
-        break;
-      case obs::TraceEvent::Kind::kClientReply:
-        ++replies[event.xid];
-        break;
-      case obs::TraceEvent::Kind::kClientRetransmit:
-        ++retransmits[event.xid];
-        break;
-      default:
-        break;
+  for (const obs::Span& span : registry_.spans().finished()) {
+    if (Classify(span) != ChanSpan::kCall) {
+      continue;
+    }
+    ++calls[span.xid];
+    if (!span.error) {
+      ++replies[span.xid];
+    }
+    if (span.retransmits > 0) {
+      retransmits[span.xid] += static_cast<int>(span.retransmits);
     }
   }
   EXPECT_FALSE(calls.empty());
@@ -358,7 +338,7 @@ TEST_F(ObsTest, CleanRunTracesEveryCallExactlyOnce) {
   EXPECT_EQ(registry_.CounterValue("server.drc_hits"), 0u);
 }
 
-// --- The acceptance test: exactly-once by trace inspection -------------------
+// --- The acceptance test: exactly-once by span inspection --------------------
 
 TEST_F(ObsTest, LossyRunShowsExactlyOnceDeliveryInTrace) {
   // The ISSUE acceptance profile: seeded 5% drop + 2% duplicate.
@@ -367,35 +347,38 @@ TEST_F(ObsTest, LossyRunShowsExactlyOnceDeliveryInTrace) {
   SfsClient::MountPoint* mount = RunWorkload(16);
   ASSERT_NE(mount, nullptr);
   ASSERT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-  ASSERT_EQ(sink_.dropped(), 0u) << "ring too small: trace incomplete";
+  ASSERT_EQ(registry_.spans().dropped(), 0u) << "span store too small: record incomplete";
+  ASSERT_EQ(registry_.spans().open_count(), 0u) << "a span never closed";
 
   std::map<uint32_t, int> replies, retransmits;
   std::map<uint32_t, int> dispatches_by_seqno;  // Handler executions.
   bool saw_server_drc_hit = false;
-  uint64_t drc_hit_events = 0;
-  for (const obs::TraceEvent& event : ChanEvents()) {
-    switch (event.kind) {
-      case obs::TraceEvent::Kind::kClientReply:
-        ++replies[event.xid];
+  uint64_t drc_hit_spans = 0;
+  for (const obs::Span& span : registry_.spans().finished()) {
+    switch (Classify(span)) {
+      case ChanSpan::kCall:
+        if (!span.error) {
+          ++replies[span.xid];
+        }
+        if (span.retransmits > 0) {
+          retransmits[span.xid] += static_cast<int>(span.retransmits);
+        }
         break;
-      case obs::TraceEvent::Kind::kClientRetransmit:
-        ++retransmits[event.xid];
+      case ChanSpan::kDispatch:
+        ++dispatches_by_seqno[span.seqno];
         break;
-      case obs::TraceEvent::Kind::kServerDispatch:
-        ++dispatches_by_seqno[event.seqno];
-        break;
-      case obs::TraceEvent::Kind::kServerDrcHit:
+      case ChanSpan::kDrcHit:
         saw_server_drc_hit = true;
-        ++drc_hit_events;
-        EXPECT_TRUE(event.drc_hit);
+        ++drc_hit_spans;
+        EXPECT_TRUE(span.drc_hit);
         break;
-      default:
+      case ChanSpan::kOther:
         break;
     }
   }
 
   // The server deduplicated at least one redelivered request, and the
-  // trace says so explicitly.
+  // spans say so explicitly.
   EXPECT_TRUE(saw_server_drc_hit);
 
   // A retransmitted xid reached the application exactly once: stale-reply
@@ -417,13 +400,11 @@ TEST_F(ObsTest, LossyRunShowsExactlyOnceDeliveryInTrace) {
     EXPECT_EQ(n, 1) << "seqno " << seqno << " dispatched " << n << " times";
   }
 
-  // The dedup plumbing shims agree with the registry aggregates, and the
-  // registry's DRC-hit count with the trace.
-  EXPECT_EQ(registry_.CounterValue("server.drc_hits"), drc_hit_events);
+  // The registry's DRC-hit count agrees with the spans, and the link's
+  // own retransmission count with the registry aggregate.
+  EXPECT_EQ(registry_.CounterValue("server.drc_hits"), drc_hit_spans);
   EXPECT_EQ(mount->link()->retransmissions(),
             registry_.CounterValue("link.retransmissions"));
-  EXPECT_EQ(mount->unmatched_replies(),
-            registry_.CounterValue("rpc.client.unmatched_replies"));
 }
 
 // --- Pipelined channel: exactly-once at every swept window size --------------
@@ -433,7 +414,7 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
   // keeping several calls in flight.  Out-of-order completion, timer
   // retransmissions, and DRC replays must still collapse to exactly one
   // application-level reply per xid and one dispatch per seqno — and the
-  // ring-buffer trace, not just counters, must prove it per window size.
+  // spans, not just counters, must prove it per window size.
   for (uint32_t window : {2u, 4u, 8u}) {
     SCOPED_TRACE("window=" + std::to_string(window));
     SfsClient::Options options;
@@ -445,7 +426,7 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
     sim::LossyInterposer lossy(/*seed=*/1000 + window, {.drop = 0.05, .duplicate = 0.02});
     client.set_interposer(&lossy);
 
-    const size_t skip = sink_.Events().size();
+    registry_.spans().TakeFinished();  // Earlier windows' spans.
     auto mount = client.Mount(server_->Path());
     ASSERT_TRUE(mount.ok()) << mount.status().ToString();
     EXPECT_EQ((*mount)->window(), window);
@@ -469,36 +450,32 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
     (*mount)->Drain();
     EXPECT_EQ((*mount)->in_flight(), 0u);
 
-    // This window's slice of the trace (the ring is large enough that
-    // nothing from this run has been evicted).
-    ASSERT_EQ(sink_.dropped(), 0u) << "ring too small: trace incomplete";
-    std::vector<obs::TraceEvent> events = sink_.Events();
-    ASSERT_GE(events.size(), skip);
+    // This window's slice of the spans: everything finished since the
+    // slice above, none dropped and none left open.
+    ASSERT_EQ(registry_.spans().dropped(), 0u) << "span store too small: record incomplete";
+    ASSERT_EQ(registry_.spans().open_count(), 0u) << "a span never closed";
+    std::vector<obs::Span> spans = registry_.spans().TakeFinished();
     std::map<uint32_t, int> calls, replies, retransmits;
     std::map<uint32_t, int> dispatches_by_seqno;
     std::map<uint32_t, int> drc_hits_by_seqno;
-    for (size_t i = skip; i < events.size(); ++i) {
-      const obs::TraceEvent& event = events[i];
-      if (std::string(event.layer) != "sfs.chan") {
-        continue;
-      }
-      switch (event.kind) {
-        case obs::TraceEvent::Kind::kClientCall:
-          ++calls[event.xid];
+    for (const obs::Span& span : spans) {
+      switch (Classify(span)) {
+        case ChanSpan::kCall:
+          ++calls[span.xid];
+          if (!span.error) {
+            ++replies[span.xid];
+          }
+          if (span.retransmits > 0) {
+            retransmits[span.xid] += static_cast<int>(span.retransmits);
+          }
           break;
-        case obs::TraceEvent::Kind::kClientReply:
-          ++replies[event.xid];
+        case ChanSpan::kDispatch:
+          ++dispatches_by_seqno[span.seqno];
           break;
-        case obs::TraceEvent::Kind::kClientRetransmit:
-          ++retransmits[event.xid];
+        case ChanSpan::kDrcHit:
+          ++drc_hits_by_seqno[span.seqno];
           break;
-        case obs::TraceEvent::Kind::kServerDispatch:
-          ++dispatches_by_seqno[event.seqno];
-          break;
-        case obs::TraceEvent::Kind::kServerDrcHit:
-          ++drc_hits_by_seqno[event.seqno];
-          break;
-        default:
+        case ChanSpan::kOther:
           break;
       }
     }
@@ -508,7 +485,7 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
     EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
     EXPECT_FALSE(retransmits.empty());
 
-    // Exactly-once, by trace: one application reply per xid...
+    // Exactly-once, by span: one application reply per xid...
     ASSERT_FALSE(calls.empty());
     for (const auto& [xid, n] : calls) {
       EXPECT_EQ(n, 1) << "xid " << xid << " entered the window twice";
@@ -732,6 +709,11 @@ TEST(SpanAnalysisTest, CriticalPathTablesAndChromeExport) {
     spans.Push(root);
     ledger.Tick(obs::TimeCategory::kSyscall, 10);
     uint64_t call = spans.Begin("rpc.call.READ", "rpc");
+    if (obs::Span* s = spans.Find(call)) {
+      s->xid = 70 + static_cast<uint32_t>(i);
+      s->seqno = 40 + static_cast<uint32_t>(i);
+      s->wire_bytes = 220;
+    }
     ledger.Tick(obs::TimeCategory::kLink, 200);
     spans.End(call);
     spans.Pop(root);
@@ -759,9 +741,15 @@ TEST(SpanAnalysisTest, CriticalPathTablesAndChromeExport) {
   EXPECT_NE(json.find("\"vfs.read\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
 
+  // The tree is the traffic pretty-printer: the call line carries its
+  // xid, seqno and wire bytes, and the root (none of them set) no zeros.
   std::string tree = obs::FormatSpanTree(finished, finished[1].trace_id);
   EXPECT_NE(tree.find("vfs.read"), std::string::npos);
   EXPECT_NE(tree.find("rpc.call.READ"), std::string::npos);
+  EXPECT_NE(tree.find(" xid=70 seq=40 220B"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find("xid=0"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find("seq=0"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find(" 0B"), std::string::npos) << tree;
 }
 
 }  // namespace
